@@ -17,15 +17,13 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .config import RunConfig, load_config, load_json, resolve_dataset
 from .data import SynthSpec, synth_write
 from .errors import ConfigError, CsafmError, DimensionError
 from .fusion import FusionVariant
 from .model import FpvCsafmModel, UnimodalClassifier, load, save
 from .tensor import Rng, derive_seed
-from .train import cir, class_major, history_csv, make_split, predict, train_loop
+from .train import cir, history_csv, predict, split_dataset, train_loop
 
 
 def _progress(msg: str) -> None:
@@ -106,15 +104,12 @@ def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
     dataset = resolve_dataset(cfg)
     model = load(args.weights)
-    samples = class_major(dataset)
-    labels = np.array([s.label for s in samples])
+    samples, labels, split = split_dataset(dataset, cfg.seed, cfg.split)
     classes = int(labels.max()) + 1
     if model.classes != classes:
         raise DimensionError(
             f"weights were trained for {model.classes} classes, dataset has {classes}"
         )
-    counts = np.bincount(labels, minlength=classes)
-    split = make_split(int(counts[0]), classes, cfg.seed, tuple(cfg.split))
     test_cir = cir(predict(model, samples, split.test, cfg.batch), labels[split.test])
     print(json.dumps({"test_cir": test_cir, "n_test": len(split.test)}, sort_keys=True))
     return 0

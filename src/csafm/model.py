@@ -231,27 +231,53 @@ class UnimodalClassifier:
 AnyModel = Union[FpvCsafmModel, UnimodalClassifier]
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+_META_TYPES = {
+    "int": _is_int,
+    "number": lambda v: _is_int(v) or isinstance(v, float),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "size": lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
+}
+
+
+def _field(meta: dict, key: str, want: str):
+    """meta[key], checked for presence and JSON type; its value the builders check."""
+    if key not in meta:
+        raise WeightFileStructureError(f"header meta lacks {key!r}")
+    if not _META_TYPES[want](meta[key]):
+        raise WeightFileStructureError(
+            f"header meta {key!r} is {meta[key]!r}, expected {want}")
+    return meta[key]
+
+
 def build_from_meta(meta: dict, rng: Rng) -> AnyModel:
+    if not isinstance(meta, dict):
+        raise WeightFileStructureError(
+            f"header meta is a {type(meta).__name__}, not an object")
     kind = meta.get("kind")
     if kind == "fused":
         return FpvCsafmModel.build(
-            classes=meta["classes"],
-            fp_size=tuple(meta["fp_size"]),
-            fv_size=tuple(meta["fv_size"]),
-            variant=FusionVariant.from_tag(meta["variant"]),
+            classes=_field(meta, "classes", "int"),
+            fp_size=tuple(_field(meta, "fp_size", "size")),
+            fv_size=tuple(_field(meta, "fv_size", "size")),
+            variant=FusionVariant.from_tag(_field(meta, "variant", "str")),
             rng=rng,
-            r1=meta["r1"],
-            r2=meta["r2"],
-            width_multiplier=meta["width_multiplier"],
-            literal_double_mul=meta["literal_double_mul"],
+            r1=_field(meta, "r1", "int"),
+            r2=_field(meta, "r2", "int"),
+            width_multiplier=_field(meta, "width_multiplier", "number"),
+            literal_double_mul=_field(meta, "literal_double_mul", "bool"),
         )
     if kind == "unimodal":
         return UnimodalClassifier.build(
-            classes=meta["classes"],
-            image_size=tuple(meta["image_size"]),
-            modality=meta["modality"],
+            classes=_field(meta, "classes", "int"),
+            image_size=tuple(_field(meta, "image_size", "size")),
+            modality=_field(meta, "modality", "str"),
             rng=rng,
-            width_multiplier=meta["width_multiplier"],
+            width_multiplier=_field(meta, "width_multiplier", "number"),
         )
     raise WeightFileStructureError(f"unknown model kind {kind!r} in header")
 
@@ -309,6 +335,9 @@ def load(path) -> AnyModel:
     model = build_from_meta(header["meta"], Rng(0))
     entries = model.state_entries()
     declared = header["tensors"]
+    if not isinstance(declared, list):
+        raise WeightFileStructureError(
+            f"{path}: header tensors is a {type(declared).__name__}, not a list")
     if len(declared) != len(entries):
         raise WeightFileStructureError(
             f"{path}: header declares {len(declared)} tensors, model has {len(entries)}"
@@ -316,7 +345,8 @@ def load(path) -> AnyModel:
 
     offset = 12 + hlen
     for decl, (name, arr, kind) in zip(declared, entries):
-        if not isinstance(decl, dict) or not {"name", "dims", "kind"} <= set(decl):
+        if (not isinstance(decl, dict) or not {"name", "dims", "kind"} <= set(decl)
+                or not isinstance(decl["dims"], list)):
             raise WeightFileStructureError(f"{path}: malformed tensor entry {decl!r}")
         if decl["name"] != name or decl["kind"] != kind:
             raise WeightFileStructureError(

@@ -109,8 +109,31 @@ class BnParams:
         )
 
 
+def _pad(a: np.ndarray, pad: int, value: float) -> np.ndarray:
+    """a with `pad` cells of `value` around its last two axes; half the cost of np.pad."""
+    n, c, h, w = a.shape
+    out = np.full((n, c, h + 2 * pad, w + 2 * pad), value, dtype=a.dtype)
+    out[:, :, pad : pad + h, pad : pad + w] = a
+    return out
+
+
+def _im2col(xp: np.ndarray, k: int, s: int, oh: int, ow: int) -> np.ndarray:
+    """(n, c, H, W) padded input -> (n*oh*ow, c*k*k) patch matrix, one row per output pixel."""
+    n, c = xp.shape[:2]
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+    return win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * k * k)
+
+
 def conv2d(x: Tensor, p: ConvParams) -> Tensor:
-    """Cross-correlation with zero padding and per-channel bias."""
+    """Cross-correlation with zero padding and per-channel bias.
+
+    Forward is one im2col GEMM (Chellapilla et al. 2006): the patch matrix
+    (n*oh*ow, c*k*k) times W.reshape(oc, c*k*k).T. The patch matrix is k*k
+    times the size of the input, so it is dropped when forward returns and
+    backward rebuilds it from the padded input for dw; keeping it alive
+    until backward would raise peak memory by every stage's matrix at once.
+    dx is summed one kernel offset at a time in row-major offset order.
+    """
     n, c, h, w = x.dims
     if c != p.in_c:
         raise DimensionError(f"conv2d input has {c} channels, weights expect {p.in_c}")
@@ -122,31 +145,32 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
             f"conv2d output dims {oh}x{ow} non-positive for input {h}x{w}, "
             f"kernel {k}, stride {s}, pad {pad}"
         )
+    oc = p.out_c
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-    # win: (n, c, oh, ow, k, k); weight: (oc, c, k, k)
-    out = np.tensordot(win, p.weight.data, axes=([1, 4, 5], [1, 2, 3]))
-    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2)) + p.bias.data
+    # np.dot, not @, on operands of these exact layouts (weight as a
+    # transposed view, g_oc and g2 as copies): BLAS picks its kernel by
+    # layout and shape, and the kernels sum in different orders, so another
+    # layout changes the low bits of the result
+    xp = _pad(x.data, pad, 0.0)
+    out = np.dot(_im2col(xp, k, s, oh, ow), p.weight.data.reshape(oc, c * k * k).T)
+    out = np.ascontiguousarray(out.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2)) + p.bias.data
 
     def bw(g: np.ndarray) -> None:
         accumulate_grad(p.bias, g.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1))
-        dw = np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))
-        accumulate_grad(p.weight, dw)
+        g_oc = g.transpose(1, 0, 2, 3).reshape(oc, n * oh * ow)
+        dw = np.dot(g_oc, _im2col(xp, k, s, oh, ow))
+        accumulate_grad(p.weight, dw.reshape(oc, c, k, k))
         if x.requires_grad:
-            dxp = np.zeros_like(xp)
+            # dx is built channels-last, so each offset's (n, oh, ow, c)
+            # product adds into dxp without a transposed read
+            g2 = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, oc)
+            dxp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=xp.dtype)
             for i in range(k):
                 for j in range(k):
-                    # (n, oc, oh, ow) x (oc, ic) -> (n, oh, ow, ic)
-                    contrib = np.tensordot(g, p.weight.data[:, :, i, j], axes=([1], [0]))
-                    dxp[:, :, i : i + s * oh : s, j : j + s * ow : s] += (
-                        contrib.transpose(0, 3, 1, 2)
-                    )
-            if pad:
-                dx = dxp[:, :, pad : pad + h, pad : pad + w]
-            else:
-                dx = dxp
-            accumulate_grad(x, dx)
+                    contrib = np.dot(g2, p.weight.data[:, :, i, j]).reshape(n, oh, ow, c)
+                    dxp[:, i : i + s * oh : s, j : j + s * ow : s] += contrib
+            dx = dxp[:, pad : pad + h, pad : pad + w].transpose(0, 3, 1, 2)
+            accumulate_grad(x, np.ascontiguousarray(dx))
 
     return make_node(out, (x, p.weight, p.bias), bw)
 
@@ -162,7 +186,17 @@ def pwconv(x: Tensor, p: ConvParams) -> Tensor:
 
 
 def maxpool2d(x: Tensor, k: int, stride: int, pad: int) -> Tensor:
-    """Per-window max; gradient routes to the first argmax in row-major scan."""
+    """Per-window max; gradient routes to the first argmax in row-major scan.
+
+    Forward is a running np.maximum over the k*k shifted, strided slices
+    ("taps") of the -inf-padded input: no window copy and no argmax, which
+    eval never needs. A tie keeps the earlier tap's value, so a 0.0/-0.0
+    tie gives the first argmax's sign. Backward finds the first argmax as
+    the lowest offset whose tap equals the max, and a window whose max is
+    NaN routes to its first NaN, as np.argmax does. The gradient is then
+    added with np.add.at in row-major output order, so an input pixel
+    shared by overlapping windows sums their gradients in a fixed order.
+    """
     n, c, h, w = x.dims
     oh = conv_out_size(h, k, stride, pad)
     ow = conv_out_size(w, k, stride, pad)
@@ -171,29 +205,49 @@ def maxpool2d(x: Tensor, k: int, stride: int, pad: int) -> Tensor:
             f"maxpool2d output dims {oh}x{ow} non-positive for input {h}x{w}"
         )
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
-                constant_values=-np.inf)
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    flat = win.reshape(n, c, oh, ow, k * k)
-    arg = flat.argmax(axis=4)
-    out = np.take_along_axis(flat, arg[..., None], axis=4)[..., 0]
+    xp = _pad(x.data, pad, -np.inf)
+    kk = k * k
+
+    def tap(t: int) -> np.ndarray:
+        # (n, c, oh, ow) strided view of xp at window offset t = i*k + j
+        i, j = divmod(t, k)
+        return xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+
+    out = tap(0).copy()
+    for t in range(1, kk):
+        np.maximum(tap(t), out, out=out)  # on a tie np.maximum returns its second operand
     if np.isneginf(out).any():
         raise DimensionError("maxpool2d window entirely in padding")
 
     def bw(g: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        dxp = np.zeros_like(xp)
-        ni, ci, oi, oj = np.indices((n, c, oh, ow))
-        rows = oi * stride + arg // k
-        cols = oj * stride + arg % k
-        np.add.at(dxp, (ni, ci, rows, cols), g)
-        if pad:
-            accumulate_grad(x, dxp[:, :, pad : pad + h, pad : pad + w])
-        else:
-            accumulate_grad(x, dxp)
+        # first argmax = the lowest offset whose tap equals the max: a running
+        # minimum of (t on a hit, kk elsewhere), in in-place integer ufuncs,
+        # which are 2-3x faster than a masked np.copyto per tap
+        arg = np.full(out.shape, kk, dtype=np.min_scalar_type(kk))
+        hit = np.empty(out.shape, dtype=bool)
+        cand = np.empty_like(arg)
+        for t in range(kk):
+            np.equal(tap(t), out, out=hit)
+            np.multiply(hit, arg.dtype.type(kk - t), out=cand)
+            np.subtract(arg.dtype.type(kk), cand, out=cand)
+            np.minimum(arg, cand, out=arg)
+        nan = arg == kk  # a NaN max equals no tap
+        if nan.any():
+            for t in reversed(range(kk)):
+                arg[nan & np.isnan(tap(t))] = t
+        # flat index into xp of each window's top-left cell, plus its argmax offset
+        hp, wp = xp.shape[2:]
+        offset = np.array([i * wp + j for i in range(k) for j in range(k)])
+        corner = ((np.arange(n * c).reshape(n, c, 1, 1) * hp
+                   + np.arange(oh).reshape(oh, 1) * stride) * wp
+                  + np.arange(ow) * stride)
+        dxp = np.zeros(xp.size, dtype=xp.dtype)
+        np.add.at(dxp, (corner + offset[arg]).ravel(), g.ravel())
+        accumulate_grad(x, dxp.reshape(xp.shape)[:, :, pad : pad + h, pad : pad + w])
 
-    return make_node(np.ascontiguousarray(out), (x,), bw)
+    return make_node(out, (x,), bw)
 
 
 def batchnorm(x: Tensor, p: BnParams, mode: str) -> Tensor:

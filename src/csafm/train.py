@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, DimensionError, NumericalError, ParameterError
+from .errors import ConfigError, DataError, DimensionError, NumericalError, ParameterError
 from .tensor import Rng, Tensor, no_grad
 from .ops import softmax_xent
 
@@ -175,6 +175,21 @@ def class_major(dataset) -> list:
     return sorted(dataset, key=lambda s: s.label)
 
 
+def split_dataset(dataset, seed: int, fractions) -> tuple[list, np.ndarray, SplitPlan]:
+    """Class-major samples, their labels, and the seeded stratified split.
+
+    Every class must hold the same number of samples; otherwise the
+    per-class index arithmetic of make_split would slice across classes.
+    """
+    samples = class_major(dataset)
+    labels = np.array([s.label for s in samples])
+    counts = np.bincount(labels, minlength=int(labels.max()) + 1)
+    if (counts != counts[0]).any():
+        raise DataError(f"per-class counts differ: {counts.tolist()}")
+    split = make_split(int(counts[0]), len(counts), seed, tuple(fractions))
+    return samples, labels, split
+
+
 def train_loop(
     model,
     dataset,
@@ -186,18 +201,18 @@ def train_loop(
     The model ends restored to its best-validation state; test CIR is
     computed on that state.
     """
-    samples = class_major(dataset)
-    labels = np.array([s.label for s in samples])
-    classes = int(labels.max()) + 1
-    counts = np.bincount(labels, minlength=classes)
-    if (counts != counts[0]).any():
-        raise DataError(f"per-class counts differ: {counts.tolist()}")
-    n_per_class = int(counts[0])
-    split = make_split(n_per_class, classes, cfg.seed, tuple(cfg.split))
+    samples, labels, split = split_dataset(dataset, cfg.seed, cfg.split)
 
     params = model.parameters()
     opt = AdamState(lr=cfg.lr)
     learning = cfg.lr > 0
+    n_train = len(split.train)
+    if learning and (n_train % cfg.batch or cfg.batch) == 1:
+        # train-mode batchnorm of a one-sample batch fails once a map is 1x1
+        raise ConfigError(
+            f"a train split of {n_train} samples at batch {cfg.batch} leaves a "
+            f"batch of one sample; every training batch needs at least two"
+        )
     mode = "train" if learning else "eval"
 
     best_val = -1.0

@@ -1,6 +1,7 @@
 """Shared fixtures: tiny datasets, configs, and disk layouts."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -79,3 +80,19 @@ def pgm_tree(tmp_path):
         return root
 
     return build
+
+
+@pytest.fixture
+def rewrite_header():
+    """rewrite(path, edit): apply edit(header) to a saved weight file's JSON
+    header, keeping the header length field true."""
+
+    def rewrite(path, edit):
+        raw = path.read_bytes()
+        hlen = struct.unpack_from("<I", raw, 8)[0]
+        header = json.loads(raw[12 : 12 + hlen])
+        edit(header)
+        hb = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(raw[:4] + struct.pack("<II", 1, len(hb)) + hb + raw[12 + hlen :])
+
+    return rewrite

@@ -53,6 +53,53 @@ def maxpool_loops(x, k, stride, pad):
     return out
 
 
+def maxpool_backward_loops(x, g, k, stride, pad):
+    """Route each output's gradient to the first row-major argmax of its window.
+
+    Outputs are visited in row-major order, and padding never wins.
+    """
+    n, c, h, w = x.shape
+    dx = np.zeros(x.shape, dtype=g.dtype)
+    for ni in range(n):
+        for ci in range(c):
+            for yi in range(g.shape[2]):
+                for xi in range(g.shape[3]):
+                    best = None
+                    for ky in range(k):
+                        for kx in range(k):
+                            r = yi * stride + ky - pad
+                            q = xi * stride + kx - pad
+                            if 0 <= r < h and 0 <= q < w and (
+                                    best is None or x[ni, ci, r, q] > x[ni, ci][best]):
+                                best = (r, q)
+                    dx[ni, ci][best] += g[ni, ci, yi, xi]
+    return dx
+
+
+def conv2d_backward_loops(x, w, g, stride, pad):
+    """dx, dw, db of conv2d_loops for upstream gradient g, summed in float64."""
+    n, c, h, wd = x.shape
+    co, _, k, _ = w.shape
+    xp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=np.float64)
+    xp[:, :, pad:pad + h, pad:pad + wd] = x
+    dxp = np.zeros_like(xp)
+    dw = np.zeros(w.shape, dtype=np.float64)
+    db = np.zeros(co, dtype=np.float64)
+    for ni in range(n):
+        for oi in range(co):
+            for yi in range(g.shape[2]):
+                for xi in range(g.shape[3]):
+                    gv = float(g[ni, oi, yi, xi])
+                    db[oi] += gv
+                    for ci in range(c):
+                        for ky in range(k):
+                            for kx in range(k):
+                                r, q = yi * stride + ky, xi * stride + kx
+                                dw[oi, ci, ky, kx] += gv * xp[ni, ci, r, q]
+                                dxp[ni, ci, r, q] += gv * w[oi, ci, ky, kx]
+    return dxp[:, :, pad:pad + h, pad:pad + wd], dw, db
+
+
 def gap_loops(x):
     n, c, h, w = x.shape
     out = np.zeros((n, c, 1, 1), dtype=np.float64)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from csafm import FpvCsafmModel, FusionVariant, Rng, save
 from csafm.cli import _ABLATION_ORDER, main
 from csafm.verify import CHECKS
 
@@ -134,6 +135,32 @@ class TestEval:
                              "--config", str(other))
         assert rc == 2
         assert "4 classes" in err and "6" in err
+
+    def test_unbalanced_dataset_exits_2(self, tmp_path, pgm_tree, capsys):
+        root = pgm_tree({0: 10, 1: 20, 2: 20, 3: 20})
+        weights = tmp_path / "w.csafm"
+        save(FpvCsafmModel.build(classes=4, fp_size=(12, 16), fv_size=(10, 14),
+                                 variant=FusionVariant.CSAFM, rng=Rng(3), r1=4, r2=4,
+                                 width_multiplier=0.125), weights)
+        cfg = tmp_path / "eval.json"
+        cfg.write_text(json.dumps({"dataset": str(root), "seed": 5}))
+        rc, out, err = run_cli(capsys, "eval", "--weights", str(weights),
+                               "--config", str(cfg))
+        assert rc == 2 and out == ""
+        assert "per-class counts differ: [10, 20, 20, 20]" in err
+
+    def test_malformed_weight_meta_exits_2(self, tmp_path, config_file, rewrite_header,
+                                           capsys):
+        path, _ = config_file()
+        weights = tmp_path / "w.csafm"
+        save(FpvCsafmModel.build(classes=4, fp_size=(24, 24), fv_size=(20, 20),
+                                 variant=FusionVariant.CSAFM, rng=Rng(3), r1=4, r2=4,
+                                 width_multiplier=0.125), weights)
+        rewrite_header(weights, lambda h: h["meta"].pop("classes"))
+        rc, _, err = run_cli(capsys, "eval", "--weights", str(weights),
+                             "--config", str(path))
+        assert rc == 2
+        assert "lacks 'classes'" in err
 
 
 class TestAblate:

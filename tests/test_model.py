@@ -276,3 +276,44 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(WeightFileStructureError):
             build_from_meta({"kind": "transformer"}, Rng(0))
+
+
+def _set(key, value):
+    def edit(header):
+        header["meta"][key] = value
+    return edit
+
+
+class TestMalformedHeader:
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["meta"].pop("classes"),
+        lambda h: h.update(meta=[h["meta"]]),
+        _set("width_multiplier", "0.125"),
+        _set("classes", 4.0),
+        _set("variant", ["CSAFM"]),
+        _set("fp_size", [24]),
+        _set("literal_double_mul", 0),
+        lambda h: h.update(tensors=len(h["tensors"])),
+        lambda h: h["tensors"][0].update(dims=7),
+    ], ids=["meta_lacks_classes", "meta_is_list", "width_multiplier_str",
+            "classes_float", "variant_list", "fp_size_short",
+            "literal_double_mul_int", "tensors_not_list", "dims_not_list"])
+    def test_fused_header_rejected(self, tmp_path, rewrite_header, edit):
+        path = tmp_path / "w.csafm"
+        save(small_fused(), path)
+        rewrite_header(path, edit)
+        with pytest.raises(WeightFileStructureError):
+            load(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["meta"].pop("image_size"),
+        _set("modality", None),
+        _set("width_multiplier", True),
+    ], ids=["meta_lacks_image_size", "modality_null", "width_multiplier_bool"])
+    def test_unimodal_header_rejected(self, tmp_path, rewrite_header, edit):
+        path = tmp_path / "u.csafm"
+        save(UnimodalClassifier.build(classes=4, image_size=(24, 24), modality="fv",
+                                      rng=Rng(24), width_multiplier=0.125), path)
+        rewrite_header(path, edit)
+        with pytest.raises(WeightFileStructureError):
+            load(path)

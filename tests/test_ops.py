@@ -104,6 +104,27 @@ class TestConvBackward:
             [("x", x), ("w", p.weight), ("b", p.bias)], sample=12, seed=2)
         assert max(errs.values()) < 1e-6
 
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("n,c,h,w,co,k,stride,pad", [
+        (2, 1, 12, 14, 4, 7, 2, 3),  # stage 1: 7x7, stride 2, pad 3 on the image
+        (2, 8, 1, 2, 2, 7, 1, 3),    # fusion spatial attention: 7x7, pad 3 on a 1x2 map
+    ], ids=["stage1", "fusion_1x2"])
+    def test_matches_loop_oracle(self, n, c, h, w, co, k, stride, pad, dtype, tol):
+        rng = Rng(204)
+        x = rand_t(rng, (n, c, h, w), dtype=dtype, grad=True)
+        p = conv_params(rng, c, co, k, stride, pad, dtype=dtype)
+        y = ops.conv2d(x, p)
+        g = rand_t(rng, y.dims, dtype=dtype).data
+        y.backward(g)
+        dx, dw, db = oracles.conv2d_backward_loops(
+            x.data.astype(np.float64), p.weight.data.astype(np.float64),
+            g.astype(np.float64), stride, pad)
+        for name, got, want in (("dx", x.grad, dx), ("dw", p.weight.grad, dw),
+                                ("db", p.bias.grad.reshape(-1), db)):
+            assert got.dtype == dtype and got.shape == want.shape, name
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(got - want)) <= tol * scale, name
+
 
 class TestPwconv:
     def test_matches_matvec_oracle(self):
@@ -157,6 +178,20 @@ class TestMaxpool:
         ops.maxpool2d(x, 2, 1, 0).backward()
         assert np.array_equal(x.grad.reshape(-1), [1, 0, 0, 0])
 
+    def test_nan_window_routes_to_first_nan(self):
+        x = Tensor.from_flat([1, np.nan, 3, np.nan], (1, 1, 2, 2), dtype=np.float64)
+        x.requires_grad = True
+        y = ops.maxpool2d(x, 2, 1, 0)
+        assert np.isnan(y.data).all()
+        y.backward(np.array([5.0]).reshape(1, 1, 1, 1))
+        assert np.array_equal(x.grad.reshape(-1), [0, 5, 0, 0])
+
+    def test_signed_zero_tie_keeps_first_value(self):
+        for first in (-0.0, 0.0):
+            x = Tensor.from_flat([first, -first, -first, -first], (1, 1, 2, 2))
+            y = ops.maxpool2d(x, 2, 1, 0).data
+            assert np.signbit(y[0, 0, 0, 0]) == np.signbit(first)
+
     def test_gradcheck(self):
         rng = Rng(402)
         x = rand_t(rng, (2, 2, 7, 6), dtype=np.float64, grad=True)
@@ -164,6 +199,19 @@ class TestMaxpool:
             lambda: sq_loss(ops.maxpool2d(x, 3, 2, 1)),
             [("x", x)], sample=20, seed=3)
         assert errs["x"] < 1e-6
+
+    @pytest.mark.parametrize("k,stride,pad", [(3, 2, 1), (3, 1, 1), (2, 1, 0), (2, 2, 0)])
+    def test_backward_matches_first_argmax_oracle(self, k, stride, pad):
+        # values from {0,1,2} tie inside windows and across overlapping windows
+        r = np.random.default_rng(403)
+        for dtype in (np.float32, np.float64):
+            x = Tensor(r.integers(0, 3, (2, 3, 7, 8)).astype(dtype), requires_grad=True)
+            y = ops.maxpool2d(x, k, stride, pad)
+            g = r.standard_normal(y.dims).astype(dtype)
+            y.backward(g)
+            want = oracles.maxpool_backward_loops(x.data, g, k, stride, pad)
+            assert x.grad.dtype == dtype
+            assert np.array_equal(x.grad, want)
 
     def test_all_padding_window_rejected(self):
         # pad so wide that a window could sit entirely off the input

@@ -3,6 +3,7 @@ import pytest
 
 from csafm import (
     AdamState,
+    ConfigError,
     DataError,
     DimensionError,
     FpvCsafmModel,
@@ -211,6 +212,22 @@ class TestTrainLoop:
         cfg = tiny_cfg()
         with pytest.raises(DataError):
             train_loop(tiny_model(cfg), tiny_dataset[:-1], cfg)
+
+    def test_one_sample_final_batch_rejected_before_training(self, tiny_dataset):
+        # 12 training pairs at batch 11: the second batch would hold one sample
+        cfg = tiny_cfg(batch=11)
+        model = tiny_model(cfg)
+        before = [arr.copy() for _, arr, _ in model.state_entries()]
+        seen = []
+        with pytest.raises(ConfigError, match=r"12 samples at batch 11"):
+            train_loop(model, tiny_dataset, cfg, progress=lambda *a: seen.append(a))
+        assert seen == []
+        for b, (_, a, _) in zip(before, model.state_entries()):
+            assert np.array_equal(b, a)
+
+    def test_one_sample_final_batch_allowed_without_learning(self, tiny_dataset):
+        cfg = tiny_cfg(batch=11, lr=0.0, epochs=1)
+        assert len(train_loop(tiny_model(cfg), tiny_dataset, cfg).history) == 1
 
     def test_zero_lr_freezes_everything(self, tiny_dataset):
         cfg = tiny_cfg(lr=0.0, epochs=3)
