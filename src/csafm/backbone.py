@@ -95,6 +95,16 @@ class BackboneState:
             s.classes = classes
         return s
 
+    @staticmethod
+    def tensor_sizes(width_multiplier: float = 1.0) -> list[int]:
+        """Element counts of the saved tensors of init()'s five stages, without allocating them."""
+        out: list[int] = []
+        in_c = 1
+        for c, k in zip(scaled_channels(width_multiplier), KERNELS):
+            out += [c * in_c * k * k, c] + [c] * 4  # conv weight and bias, then bn's four tensors
+            in_c = c
+        return out
+
     def parameters(self) -> list[tuple[str, Tensor]]:
         out: list[tuple[str, Tensor]] = []
         for i, (cv, bn) in enumerate(zip(self.convs, self.bns)):

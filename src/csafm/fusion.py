@@ -49,6 +49,14 @@ _NEEDS_CHANNEL = {FusionVariant.CSAFM, FusionVariant.CHANNEL_ONLY,
                   FusionVariant.PARALLEL_CS, FusionVariant.SEQ_SC}
 _NEEDS_SPATIAL = {FusionVariant.CSAFM, FusionVariant.SPATIAL_ONLY,
                   FusionVariant.PARALLEL_CS, FusionVariant.SEQ_SC}
+SPATIAL_K = 7  # kernel of both spatial-attention convolutions, padded to keep the map size
+
+
+def bottleneck(c: int, r: int) -> int:
+    """Channels inside an attention map of c channels reduced by r; r must divide c."""
+    if r < 1 or c % r != 0:
+        raise ConfigError(f"channel count {c} not divisible by reduction {r}")
+    return c // r
 
 
 @dataclass
@@ -61,9 +69,7 @@ class ChannelAttnState:
 
     @classmethod
     def init(cls, c: int, r1: int, rng: Rng, dtype=np.float32) -> "ChannelAttnState":
-        if r1 < 1 or c % r1 != 0:
-            raise ConfigError(f"channel count {c} not divisible by reduction {r1}")
-        mid = c // r1
+        mid = bottleneck(c, r1)
         return cls(
             pw1=ConvParams.he_init(c, mid, 1, 1, 0, rng.spawn("pw1"), dtype=dtype),
             pw2=ConvParams.he_init(mid, c, 1, 1, 0, rng.spawn("pw2"), dtype=dtype),
@@ -87,13 +93,12 @@ class SpatialAttnState:
 
     @classmethod
     def init(cls, c: int, r2: int, rng: Rng, dtype=np.float32) -> "SpatialAttnState":
-        if r2 < 1 or c % r2 != 0:
-            raise ConfigError(f"channel count {c} not divisible by reduction {r2}")
-        mid = c // r2
+        mid = bottleneck(c, r2)
+        pad = SPATIAL_K // 2
         return cls(
-            conv1=ConvParams.he_init(c, mid, 7, 1, 3, rng.spawn("conv1"), dtype=dtype),
+            conv1=ConvParams.he_init(c, mid, SPATIAL_K, 1, pad, rng.spawn("conv1"), dtype=dtype),
             bn1=BnParams.init(mid, dtype=dtype),
-            conv2=ConvParams.he_init(mid, c, 7, 1, 3, rng.spawn("conv2"), dtype=dtype),
+            conv2=ConvParams.he_init(mid, c, SPATIAL_K, 1, pad, rng.spawn("conv2"), dtype=dtype),
             bn2=BnParams.init(c, dtype=dtype),
             r2=r2,
         )
@@ -131,6 +136,20 @@ class FusionState:
             if variant in _NEEDS_SPATIAL else None
         return cls(variant=variant, channel=ch, spatial=sp,
                    literal_double_mul=literal_double_mul)
+
+    @staticmethod
+    def tensor_sizes(variant: FusionVariant, c: int, r1: int, r2: int) -> list[int]:
+        """Element counts of the saved tensors init() makes, without allocating them."""
+        out: list[int] = []
+        if variant in _NEEDS_CHANNEL:
+            m = bottleneck(c, r1)
+            out += [m * c, m, c * m, c]  # pw1 and pw2 weight and bias
+        if variant in _NEEDS_SPATIAL:
+            m = bottleneck(c, r2)
+            kk = SPATIAL_K * SPATIAL_K
+            # conv1 weight and bias, bn1's four tensors, then conv2 and bn2 likewise
+            out += [m * c * kk, m] + [m] * 4 + [c * m * kk, c] + [c] * 4
+        return out
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         out: list[tuple[str, Tensor]] = []

@@ -19,6 +19,7 @@ trip is bitwise exact.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from typing import Union
@@ -29,6 +30,7 @@ from .backbone import BackboneState, backbone_classify, backbone_features, featu
 from .errors import (
     ConfigError,
     DimensionError,
+    ParameterError,
     WeightFileMagicError,
     WeightFileShapeError,
     WeightFileStructureError,
@@ -237,7 +239,7 @@ def _is_int(v) -> bool:
 
 _META_TYPES = {
     "int": _is_int,
-    "number": lambda v: _is_int(v) or isinstance(v, float),
+    "number": lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
     "bool": lambda v: isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
     "size": lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
@@ -254,32 +256,79 @@ def _field(meta: dict, key: str, want: str):
     return meta[key]
 
 
-def build_from_meta(meta: dict, rng: Rng) -> AnyModel:
+def _meta_args(meta) -> tuple[str, dict]:
+    """(kind, keyword arguments of that kind's build) read from a header meta."""
     if not isinstance(meta, dict):
         raise WeightFileStructureError(
             f"header meta is a {type(meta).__name__}, not an object")
     kind = meta.get("kind")
     if kind == "fused":
-        return FpvCsafmModel.build(
+        return kind, dict(
             classes=_field(meta, "classes", "int"),
             fp_size=tuple(_field(meta, "fp_size", "size")),
             fv_size=tuple(_field(meta, "fv_size", "size")),
             variant=FusionVariant.from_tag(_field(meta, "variant", "str")),
-            rng=rng,
             r1=_field(meta, "r1", "int"),
             r2=_field(meta, "r2", "int"),
             width_multiplier=_field(meta, "width_multiplier", "number"),
             literal_double_mul=_field(meta, "literal_double_mul", "bool"),
         )
     if kind == "unimodal":
-        return UnimodalClassifier.build(
+        return kind, dict(
             classes=_field(meta, "classes", "int"),
             image_size=tuple(_field(meta, "image_size", "size")),
             modality=_field(meta, "modality", "str"),
-            rng=rng,
             width_multiplier=_field(meta, "width_multiplier", "number"),
         )
     raise WeightFileStructureError(f"unknown model kind {kind!r} in header")
+
+
+_BUILDERS = {"fused": FpvCsafmModel, "unimodal": UnimodalClassifier}
+
+
+def build_from_meta(meta: dict, rng: Rng) -> AnyModel:
+    kind, args = _meta_args(meta)
+    return _BUILDERS[kind].build(rng=rng, **args)
+
+
+def _meta_nbytes(kind: str, args: dict) -> int:
+    """Bytes of tensor blobs a model built from _meta_args would save, in closed form."""
+    wm = args["width_multiplier"]
+    if kind == "fused":
+        sizes = BackboneState.tensor_sizes(wm) * 2
+        c, h1, w1 = feature_shape(*args["fp_size"], wm)
+        _, h2, w2 = feature_shape(*args["fv_size"], wm)
+        sizes += FusionState.tensor_sizes(args["variant"], c, args["r1"], args["r2"])
+        head_c = 2 * c if args["variant"] is FusionVariant.PARALLEL_CONCAT else c
+        d = head_c * min(h1, h2) * min(w1, w2)
+    else:
+        sizes = BackboneState.tensor_sizes(wm)
+        c, fh, fw = feature_shape(*args["image_size"], wm)
+        d = c * fh * fw
+    sizes += [args["classes"] * d, args["classes"]]  # head weight and bias
+    return sum(16 + 4 * n for n in sizes)
+
+
+def _check_blob_layout(buf: bytes, offset: int, declared: list, path) -> None:
+    """Check that the declared tensors, read against each blob's stored dims,
+    fill buf from offset to its end exactly. Only reads dims; allocates nothing."""
+    for decl in declared:
+        if (not isinstance(decl, dict) or not {"name", "dims", "kind"} <= set(decl)
+                or not isinstance(decl["dims"], list) or len(decl["dims"]) != 4
+                or not all(_is_int(d) and d >= 0 for d in decl["dims"])):
+            raise WeightFileStructureError(f"{path}: malformed tensor entry {decl!r}")
+        if len(buf) - offset < 16:
+            raise WeightFileTruncatedError(f"{path}: file ends before blob {decl['name']!r}")
+        dims = list(struct.unpack_from("<4I", buf, offset))
+        if dims != decl["dims"]:
+            raise WeightFileShapeError(
+                f"{path}: {decl['name']} blob dims {dims}, header says {decl['dims']}")
+        offset += 16 + 4 * math.prod(dims)
+        if offset > len(buf):
+            raise WeightFileTruncatedError(f"{path}: file ends inside blob {decl['name']!r}")
+    if offset != len(buf):
+        raise WeightFileStructureError(
+            f"{path}: {len(buf) - offset} unexpected trailing bytes")
 
 
 def _stat_blob(arr: np.ndarray) -> bytes:
@@ -332,12 +381,23 @@ def load(path) -> AnyModel:
     if not isinstance(header, dict) or "meta" not in header or "tensors" not in header:
         raise WeightFileStructureError(f"{path}: header missing meta/tensors")
 
-    model = build_from_meta(header["meta"], Rng(0))
-    entries = model.state_entries()
     declared = header["tensors"]
     if not isinstance(declared, list):
         raise WeightFileStructureError(
             f"{path}: header tensors is a {type(declared).__name__}, not a list")
+    _check_blob_layout(buf, 12 + hlen, declared, path)
+    # the meta must imply exactly the bytes the file holds before anything is
+    # built, so a forged size in it cannot make the build allocate without bound
+    try:
+        kind, args = _meta_args(header["meta"])
+        implied, held = _meta_nbytes(kind, args), len(buf) - 12 - hlen
+        if implied != held:
+            raise WeightFileStructureError(
+                f"{path}: header meta implies {implied} tensor bytes, file holds {held}")
+        model = _BUILDERS[kind].build(rng=Rng(0), **args)
+    except (ConfigError, DimensionError, ParameterError) as e:
+        raise WeightFileStructureError(f"{path}: header meta describes no model: {e}") from None
+    entries = model.state_entries()
     if len(declared) != len(entries):
         raise WeightFileStructureError(
             f"{path}: header declares {len(declared)} tensors, model has {len(entries)}"
@@ -345,9 +405,6 @@ def load(path) -> AnyModel:
 
     offset = 12 + hlen
     for decl, (name, arr, kind) in zip(declared, entries):
-        if (not isinstance(decl, dict) or not {"name", "dims", "kind"} <= set(decl)
-                or not isinstance(decl["dims"], list)):
-            raise WeightFileStructureError(f"{path}: malformed tensor entry {decl!r}")
         if decl["name"] != name or decl["kind"] != kind:
             raise WeightFileStructureError(
                 f"{path}: tensor entry {decl['name']!r}/{decl['kind']!r} where "
@@ -358,14 +415,6 @@ def load(path) -> AnyModel:
             raise WeightFileShapeError(
                 f"{path}: {name} declared dims {decl['dims']}, expected {want}"
             )
-        t, offset = tensor_from_blob(buf, offset)
-        if list(t.dims) != want:
-            raise WeightFileShapeError(
-                f"{path}: {name} blob dims {list(t.dims)}, header says {want}"
-            )
+        t, offset = tensor_from_blob(buf, offset)  # blob dims == decl dims, checked above
         arr[...] = t.data.reshape(arr.shape)
-    if offset != len(buf):
-        raise WeightFileStructureError(
-            f"{path}: {len(buf) - offset} unexpected trailing bytes"
-        )
     return model

@@ -117,22 +117,37 @@ def _pad(a: np.ndarray, pad: int, value: float) -> np.ndarray:
     return out
 
 
-def _im2col(xp: np.ndarray, k: int, s: int, oh: int, ow: int) -> np.ndarray:
-    """(n, c, H, W) padded input -> (n*oh*ow, c*k*k) patch matrix, one row per output pixel."""
-    n, c = xp.shape[:2]
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * k * k)
+def _pad_cl(x: np.ndarray, pad: int) -> np.ndarray:
+    """(n, c, h, w) -> zero-padded channels-last (n, h + 2*pad, w + 2*pad, c), one transposing copy."""
+    n, c, h, w = x.shape
+    out = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    out[:, pad : pad + h, pad : pad + w] = x.transpose(0, 2, 3, 1)
+    return out
+
+
+def _im2col(xpl: np.ndarray, k: int, s: int, oh: int, ow: int) -> np.ndarray:
+    """(n, H, W, c) padded input -> (n*oh*ow, k*k*c) patch matrix, columns in (i, j, c) order."""
+    n, c = xpl.shape[0], xpl.shape[3]
+    win = sliding_window_view(xpl, (k, k), axis=(1, 2))[:, ::s, ::s]
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, k * k * c)
 
 
 def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     """Cross-correlation with zero padding and per-channel bias.
 
     Forward is one im2col GEMM (Chellapilla et al. 2006): the patch matrix
-    (n*oh*ow, c*k*k) times W.reshape(oc, c*k*k).T. The patch matrix is k*k
-    times the size of the input, so it is dropped when forward returns and
-    backward rebuilds it from the padded input for dw; keeping it alive
-    until backward would raise peak memory by every stage's matrix at once.
-    dx is summed one kernel offset at a time in row-major offset order.
+    (n*oh*ow, k*k*c) times the weight as (oc, k*k*c), transposed. The
+    patch matrix is built from a channels-last padded input with columns
+    in (i, j, c) order, so each window row it copies is one run of k*c
+    contiguous floats rather than c runs of k. The GEMM therefore sums
+    over K in (i, j, c) order, and the forward output differs in the last
+    bits from a (c, i, j) patch matrix; dw, db and dx do not change, since
+    dw still sums over output pixels in the same order and dx over oc.
+    The patch matrix is k*k times the size of the input, so it is dropped
+    when forward returns and backward rebuilds it from the padded input
+    for dw; keeping it alive until backward would raise peak memory by
+    every stage's matrix at once. dx is summed one kernel offset at a
+    time in row-major offset order.
     """
     n, c, h, w = x.dims
     if c != p.in_c:
@@ -147,24 +162,27 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
         )
     oc = p.out_c
 
-    # np.dot, not @, on operands of these exact layouts (weight as a
-    # transposed view, g_oc and g2 as copies): BLAS picks its kernel by
+    # np.dot, not @, and g_oc and g2 as copies: BLAS picks its kernel by
     # layout and shape, and the kernels sum in different orders, so another
-    # layout changes the low bits of the result
-    xp = _pad(x.data, pad, 0.0)
-    out = np.dot(_im2col(xp, k, s, oh, ow), p.weight.data.reshape(oc, c * k * k).T)
-    out = np.ascontiguousarray(out.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2)) + p.bias.data
+    # layout of the backward operands changes the low bits of dw and dx.
+    # The weight copy comes before the padded input: in the other order
+    # glibc kept more heap, and the fusion_paper benchmark peaked 3.9 MiB higher
+    w_cl = p.weight.data.transpose(0, 2, 3, 1).reshape(oc, k * k * c)
+    xpl = _pad_cl(x.data, pad)
+    out = np.dot(_im2col(xpl, k, s, oh, ow), w_cl.T)
+    out = np.ascontiguousarray(out.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2))
+    out += p.bias.data
 
     def bw(g: np.ndarray) -> None:
         accumulate_grad(p.bias, g.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1))
         g_oc = g.transpose(1, 0, 2, 3).reshape(oc, n * oh * ow)
-        dw = np.dot(g_oc, _im2col(xp, k, s, oh, ow))
-        accumulate_grad(p.weight, dw.reshape(oc, c, k, k))
+        dw = np.dot(g_oc, _im2col(xpl, k, s, oh, ow))
+        accumulate_grad(p.weight, dw.reshape(oc, k, k, c).transpose(0, 3, 1, 2))
         if x.requires_grad:
             # dx is built channels-last, so each offset's (n, oh, ow, c)
             # product adds into dxp without a transposed read
             g2 = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, oc)
-            dxp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=xp.dtype)
+            dxp = np.zeros_like(xpl)
             for i in range(k):
                 for j in range(k):
                     contrib = np.dot(g2, p.weight.data[:, :, i, j]).reshape(n, oh, ow, c)

@@ -35,6 +35,26 @@ def conv2d_loops(x, w, b, stride, pad):
     return out
 
 
+def im2col_loops(x, k, stride, pad):
+    """Zero-padded patch matrix of x (n,c,h,w): one row per output pixel in
+    (n, y, x) order, columns in (ky, kx, c) order."""
+    n, c, h, w = x.shape
+    oh = out_size(h, k, stride, pad)
+    ow = out_size(w, k, stride, pad)
+    col = np.zeros((n * oh * ow, k * k * c), dtype=x.dtype)
+    for ni in range(n):
+        for yi in range(oh):
+            for xi in range(ow):
+                row = (ni * oh + yi) * ow + xi
+                for ky in range(k):
+                    for kx in range(k):
+                        r, q = yi * stride + ky - pad, xi * stride + kx - pad
+                        if 0 <= r < h and 0 <= q < w:
+                            for ci in range(c):
+                                col[row, (ky * k + kx) * c + ci] = x[ni, ci, r, q]
+    return col
+
+
 def maxpool_loops(x, k, stride, pad):
     """Window-scan max pool over a -inf padded input."""
     n, c, h, w = x.shape

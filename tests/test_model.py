@@ -12,6 +12,7 @@ from csafm import (
     Rng,
     Tensor,
     UnimodalClassifier,
+    WeightFileError,
     WeightFileMagicError,
     WeightFileShapeError,
     WeightFileStructureError,
@@ -317,3 +318,102 @@ class TestMalformedHeader:
         rewrite_header(path, edit)
         with pytest.raises(WeightFileStructureError):
             load(path)
+
+
+def gate_fused():
+    """The acceptance-gate model: 16 classes, fp 64x96, fv 48x80, width 0.125."""
+    return FpvCsafmModel.build(classes=16, fp_size=(64, 96), fv_size=(48, 80),
+                               variant=FusionVariant.CSAFM, rng=Rng(25),
+                               r1=4, r2=4, width_multiplier=0.125)
+
+
+class TestHeaderSizeBound:
+    # the head is sized by the smaller of the two feature maps, so only a
+    # forge of both image sizes changes the bytes the meta implies
+    @pytest.mark.parametrize("edit", [
+        _set("width_multiplier", 64),
+        lambda h: h["meta"].update(fp_size=[20000, 20000], fv_size=[20000, 20000]),
+        _set("classes", 10 ** 7),
+    ], ids=["width_multiplier_64", "sizes_20000", "classes_1e7"])
+    def test_forged_size_rejected_before_build(self, tmp_path, rewrite_header,
+                                               monkeypatch, edit):
+        path = tmp_path / "gate.csafm"
+        save(gate_fused(), path)
+        rewrite_header(path, edit)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("model built from a header that overstates its size")
+
+        monkeypatch.setattr(FpvCsafmModel, "build", no_build)
+        with pytest.raises(WeightFileStructureError, match="implies"):
+            load(path)
+
+    @pytest.mark.parametrize("variant", list(FusionVariant), ids=lambda v: v.name)
+    def test_every_variant_reloads_byte_for_byte(self, tmp_path, variant):
+        path, again = tmp_path / "w.csafm", tmp_path / "again.csafm"
+        save(small_fused(variant=variant), path)
+        save(load(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
+
+class TestWeightFileFuzz:
+    @pytest.mark.parametrize("edit", [
+        _set("variant", "CSAFN"),
+        _set("r1", 3),
+        _set("r2", 0),
+        _set("classes", 1),
+        _set("width_multiplier", -0.125),
+        _set("width_multiplier", 0),
+        _set("width_multiplier", float("inf")),
+        _set("width_multiplier", float("nan")),
+        _set("fp_size", [-64, 96]),
+        _set("fv_size", [0, 0]),
+        _set("kind", "unimodal"),
+        lambda h: h["tensors"][0].update(dims=[-8, 1, 7, 7]),
+        lambda h: h["tensors"][0].update(dims=[8, 1, 7]),
+        lambda h: h["tensors"][0].update(dims=[2 ** 40, 1, 7, 7]),
+        lambda h: h["tensors"][3].update(name="fp.bn1.gamma"),
+        lambda h: h["tensors"][4].update(kind="param"),
+        lambda h: h["tensors"].pop(),
+    ], ids=["variant_CSAFN", "r1_3", "r2_0", "classes_1", "width_negative",
+            "width_zero", "width_inf", "width_nan", "fp_size_negative",
+            "fv_size_0x0", "kind_unimodal", "dims_negative", "dims_rank3",
+            "dims_huge", "name_swapped", "kind_swapped", "tensor_dropped"])
+    def test_header_edit_is_a_weight_file_error(self, tmp_path, rewrite_header, edit):
+        path = tmp_path / "w.csafm"
+        save(small_fused(), path)
+        rewrite_header(path, edit)
+        with pytest.raises(WeightFileError):
+            load(path)
+
+    def test_seeded_flips_and_truncations(self, tmp_path):
+        """Each mutant either raises a WeightFileError or loads a model that
+        saves and reloads to the same state."""
+        path = tmp_path / "w.csafm"
+        save(small_fused(seed=27), path)
+        raw = path.read_bytes()
+        head_end = 12 + struct.unpack_from("<I", raw, 8)[0]
+        rng = Rng(28)
+        mutants = []
+        for i in range(240):
+            # half the flips land in the magic, lengths and JSON header
+            pos = rng.below(head_end if i % 2 else len(raw))
+            flipped = bytearray(raw)
+            flipped[pos] ^= 1 << rng.below(8)
+            mutants.append(bytes(flipped))
+        mutants += [raw[: rng.below(len(raw))] for _ in range(60)]
+        loaded = 0
+        for i, blob in enumerate(mutants):
+            mutant = tmp_path / f"m{i}.csafm"
+            mutant.write_bytes(blob)
+            try:
+                m = load(mutant)
+            except WeightFileError:
+                continue
+            loaded += 1
+            again = tmp_path / f"again{i}.csafm"
+            save(m, again)
+            for (n1, a1, _), (n2, a2, _) in zip(m.state_entries(),
+                                                load(again).state_entries()):
+                assert n1 == n2 and a1.tobytes() == a2.tobytes(), (i, n1)
+        assert 0 < loaded < len(mutants)

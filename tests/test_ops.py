@@ -108,7 +108,8 @@ class TestConvBackward:
     @pytest.mark.parametrize("n,c,h,w,co,k,stride,pad", [
         (2, 1, 12, 14, 4, 7, 2, 3),  # stage 1: 7x7, stride 2, pad 3 on the image
         (2, 8, 1, 2, 2, 7, 1, 3),    # fusion spatial attention: 7x7, pad 3 on a 1x2 map
-    ], ids=["stage1", "fusion_1x2"])
+        (2, 16, 3, 7, 4, 7, 1, 3),   # paper-shape attention: 7x7, pad 3 overhangs a 3x7 map
+    ], ids=["stage1", "fusion_1x2", "paper_3x7"])
     def test_matches_loop_oracle(self, n, c, h, w, co, k, stride, pad, dtype, tol):
         rng = Rng(204)
         x = rand_t(rng, (n, c, h, w), dtype=dtype, grad=True)
@@ -124,6 +125,18 @@ class TestConvBackward:
             assert got.dtype == dtype and got.shape == want.shape, name
             scale = max(1.0, float(np.max(np.abs(want))))
             assert np.max(np.abs(got - want)) <= tol * scale, name
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_matches_loop_oracle(self, k, stride):
+        rng = Rng(205)
+        pad = k // 2
+        x = rand_t(rng, (2, 3, 9, 8)).data
+        oh, ow = oracles.out_size(9, k, stride, pad), oracles.out_size(8, k, stride, pad)
+        got = ops._im2col(ops._pad_cl(x, pad), k, stride, oh, ow)
+        assert np.array_equal(got, oracles.im2col_loops(x, k, stride, pad))
 
 
 class TestPwconv:
