@@ -15,6 +15,7 @@ from .errors import (
     WeightFileShapeError,
     WeightFileStructureError,
     WeightFileTruncatedError,
+    WeightFileValueError,
     WeightFileVersionError,
 )
 from .tensor import (

@@ -100,6 +100,25 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_image_sizes(model, dataset) -> None:
+    """Every image must have the size in the weights' header.
+
+    Another size can shrink to the same feature map and score without
+    any error, on inputs the weights were never trained on.
+    """
+    if isinstance(model, FpvCsafmModel):
+        want = {"fp": model.fp_size, "fv": model.fv_size}
+    else:
+        want = {model.modality: model.image_size}
+    for modality, size in want.items():
+        got = sorted({(getattr(s, modality).h, getattr(s, modality).w) for s in dataset})
+        if got != [tuple(size)]:
+            raise DimensionError(
+                f"weights were trained on {modality} images of {size[0]}x{size[1]}, "
+                f"dataset has " + ", ".join(f"{h}x{w}" for h, w in got)
+            )
+
+
 def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
     dataset = resolve_dataset(cfg)
@@ -110,6 +129,7 @@ def cmd_eval(args) -> int:
         raise DimensionError(
             f"weights were trained for {model.classes} classes, dataset has {classes}"
         )
+    _check_image_sizes(model, dataset)
     test_cir = cir(predict(model, samples, split.test, cfg.batch), labels[split.test])
     print(json.dumps({"test_cir": test_cir, "n_test": len(split.test)}, sort_keys=True))
     return 0

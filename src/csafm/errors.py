@@ -59,3 +59,7 @@ class WeightFileShapeError(WeightFileError):
 
 class WeightFileStructureError(WeightFileError):
     """The header is malformed, inconsistent, or leaves trailing data."""
+
+
+class WeightFileValueError(WeightFileError):
+    """A tensor holds NaN or an infinity, or a running variance is negative."""

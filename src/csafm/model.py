@@ -35,6 +35,7 @@ from .errors import (
     WeightFileShapeError,
     WeightFileStructureError,
     WeightFileTruncatedError,
+    WeightFileValueError,
     WeightFileVersionError,
 )
 from .fusion import FusionState, FusionVariant, ablation_fuse, standardize
@@ -416,5 +417,11 @@ def load(path) -> AnyModel:
                 f"{path}: {name} declared dims {decl['dims']}, expected {want}"
             )
         t, offset = tensor_from_blob(buf, offset)  # blob dims == decl dims, checked above
+        # a NaN weight does not fail later: relu turns its channel into zeros
+        # and predict returns finite logits, so it is rejected here
+        if not np.isfinite(t.data).all():
+            raise WeightFileValueError(f"{path}: {name} holds NaN or infinite values")
+        if name.endswith(".running_var") and (t.data < 0).any():
+            raise WeightFileValueError(f"{path}: {name} has a negative variance")
         arr[...] = t.data.reshape(arr.shape)
     return model

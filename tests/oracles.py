@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written the slow, obvious way (explicit
-loops, per-pixel arithmetic) and shares no code with csafm beyond numpy.
+loops, per-pixel arithmetic, or the plain numpy expression) and shares no
+code with csafm beyond numpy.
 """
 
 import numpy as np
@@ -118,6 +119,56 @@ def conv2d_backward_loops(x, w, g, stride, pad):
                                 dw[oi, ci, ky, kx] += gv * xp[ni, ci, r, q]
                                 dxp[ni, ci, r, q] += gv * w[oi, ci, ky, kx]
     return dxp[:, :, pad:pad + h, pad:pad + wd], dw, db
+
+
+def relu_where(x, g):
+    """relu as np.where(x > 0, x, 0), and its gradient for upstream g."""
+    mask = x > 0
+    return np.where(mask, x, x.dtype.type(0)), g * mask
+
+
+def sigmoid_branches(x, g):
+    """Stable two-branch sigmoid: 1/(1+exp(-x)) for x >= 0, exp(x)/(1+exp(x))
+    below, each evaluated everywhere and picked by np.where; and its gradient."""
+    with np.errstate(over="ignore"):
+        out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)),
+                       np.exp(np.minimum(x, 0)) / (1.0 + np.exp(np.minimum(x, 0))))
+    out = out.astype(x.dtype)
+    return out, g * out * (1.0 - out)
+
+
+def batchnorm_np(x, gamma, beta, running_mean, running_var, g, mode,
+                 momentum=0.1, eps=1e-5):
+    """Batchnorm over (n, h, w) via np.mean and np.var, and its backward for g.
+
+    gamma and beta are (1, c, 1, 1); the running stats are (c,) and are not
+    modified. Returns out, dx, dgamma, dbeta and the running mean and
+    variance after the step, unchanged in eval mode.
+    """
+    dt = x.dtype
+    eps = dt.type(eps)
+    c = x.shape[1]
+    axes = (0, 2, 3)
+    rm, rv = running_mean.copy(), running_var.copy()
+    if mode == "train":
+        mu = x.mean(axis=axes, keepdims=True)
+        var = x.var(axis=axes, keepdims=True)
+        inv_std = 1.0 / np.sqrt(var + eps)
+        xhat = (x - mu) * inv_std
+        mom = dt.type(momentum)
+        rm = rm * (1 - mom) + mom * mu.reshape(c)
+        rv = rv * (1 - mom) + mom * var.reshape(c)
+        gm = g.mean(axis=axes, keepdims=True)
+        gxm = (g * xhat).mean(axis=axes, keepdims=True)
+        dx = gamma * inv_std * (g - gm - xhat * gxm)
+    else:
+        inv_std = 1.0 / np.sqrt(rv.reshape(1, c, 1, 1) + eps)
+        xhat = (x - rm.reshape(1, c, 1, 1)) * inv_std
+        dx = g * (gamma * inv_std)
+    out = gamma * xhat + beta
+    dgamma = (g * xhat).sum(axis=axes).reshape(1, c, 1, 1)
+    dbeta = g.sum(axis=axes).reshape(1, c, 1, 1)
+    return out, dx, dgamma, dbeta, rm, rv
 
 
 def gap_loops(x):

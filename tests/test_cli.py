@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from csafm import FpvCsafmModel, FusionVariant, Rng, save
+from csafm import FpvCsafmModel, FusionVariant, Rng, UnimodalClassifier, save
 from csafm.cli import _ABLATION_ORDER, main
 from csafm.verify import CHECKS
 
@@ -148,6 +148,31 @@ class TestEval:
                                "--config", str(cfg))
         assert rc == 2 and out == ""
         assert "per-class counts differ: [10, 20, 20, 20]" in err
+
+    @pytest.mark.parametrize("modality, sizes, msg", [
+        ("fused", {"fp_size": [32, 32]}, "fp images of 24x24, dataset has 32x32"),
+        ("fv", {"fv_size": [28, 28]}, "fv images of 20x20, dataset has 28x28"),
+    ])
+    def test_image_size_mismatch_exits_2(self, tmp_path, config_file, capsys,
+                                         modality, sizes, msg):
+        """32x32 and 28x28 shrink to the same 1x1 feature map as 24x24 and
+        20x20, so nothing downstream of the header would notice them."""
+        path, cfg = config_file()
+        if modality == "fused":
+            model = FpvCsafmModel.build(classes=4, fp_size=(24, 24), fv_size=(20, 20),
+                                        variant=FusionVariant.CSAFM, rng=Rng(3),
+                                        r1=4, r2=4, width_multiplier=0.125)
+        else:
+            model = UnimodalClassifier.build(classes=4, image_size=(20, 20), modality="fv",
+                                             rng=Rng(3), width_multiplier=0.125)
+        weights = tmp_path / "w.csafm"
+        save(model, weights)
+        cfg["dataset"]["synth"].update(sizes)
+        path.write_text(json.dumps(cfg))
+        rc, out, err = run_cli(capsys, "eval", "--weights", str(weights),
+                               "--config", str(path))
+        assert rc == 2 and out == ""
+        assert msg in err
 
     def test_malformed_weight_meta_exits_2(self, tmp_path, config_file, rewrite_header,
                                            capsys):

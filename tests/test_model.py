@@ -17,6 +17,7 @@ from csafm import (
     WeightFileShapeError,
     WeightFileStructureError,
     WeightFileTruncatedError,
+    WeightFileValueError,
     WeightFileVersionError,
     build_from_meta,
     check_gradients,
@@ -264,6 +265,21 @@ class TestSerialization:
         raw[12] = ord("#")  # first header byte: JSON can no longer parse
         path.write_bytes(bytes(raw))
         with pytest.raises(WeightFileStructureError):
+            load(path)
+
+    @pytest.mark.parametrize("name, value", [
+        ("fp.conv1.weight", np.nan),
+        ("head.weight", np.inf),
+        ("fv.bn2.running_var", -0.5),
+    ])
+    def test_non_finite_or_negative_variance_rejected(self, tmp_path, name, value):
+        """A NaN weight would load and relu would zero its channel, so
+        predict would give finite logits and plausible classes."""
+        m = small_fused()
+        {n: arr for n, arr, _ in m.state_entries()}[name].reshape(-1)[0] = value
+        path = tmp_path / "w.csafm"
+        save(m, path)
+        with pytest.raises(WeightFileValueError, match=name):
             load(path)
 
     def test_build_from_meta_round_trip(self):

@@ -340,6 +340,90 @@ class TestActivations:
         assert errs["x"] < 1e-6
 
 
+def same_bits(got, want, what):
+    """Equal dtype, shape and bytes; NaN positions compared by isnan only."""
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan), what
+    assert got[~nan].tobytes() == want[~nan].tobytes(), what
+
+
+def with_specials(x, finite=False):
+    """x with its leading cells set to +-0, +-subnormals and, unless finite, +-inf and NaN."""
+    tiny = np.finfo(x.dtype).smallest_subnormal
+    sp = [0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny]
+    if not finite:
+        sp += [np.inf, -np.inf, np.nan]
+    k = min(len(sp), x.size)
+    x.reshape(-1)[:k] = sp[:k]
+    return x
+
+
+DTYPES = [np.float32, np.float64]
+# batchnorm at the train_gate backbone stages (fp 64x96 and fv 48x80 at
+# width 0.125, batch 16) and at m = n*h*w = 2
+BN_SHAPES = [(16, 8, 32, 48), (16, 16, 16, 24), (16, 32, 8, 12), (16, 64, 4, 6),
+             (16, 64, 2, 3), (16, 8, 24, 40), (16, 16, 12, 20), (16, 32, 6, 10),
+             (16, 64, 3, 5), (2, 5, 1, 1), (1, 4, 1, 2)]
+
+
+class TestObviousFormsBitIdentical:
+    """relu, sigmoid and batchnorm equal the np.where / np.var forms in
+    tests/oracles.py byte for byte, forward, backward and running stats."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_relu(self, dtype):
+        r = np.random.default_rng(801)
+        x = with_specials(r.standard_normal((16, 8, 32, 48)).astype(dtype))
+        g = r.standard_normal(x.shape).astype(dtype)
+        t = Tensor(x.copy(), requires_grad=True)
+        y = ops.relu(t)
+        y._backward(g)
+        want, want_dx = oracles.relu_where(x, g)
+        same_bits(y.data, want, "relu out")
+        same_bits(t.grad, want_dx, "relu dx")
+        assert not np.signbit(y.data).any()  # -0 and NaN give +0
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_sigmoid(self, dtype):
+        r = np.random.default_rng(802)
+        edges = [c + np.linspace(-1.0, 1.0, 257) for c in (17, 88, 104, 709, 745)]
+        near = np.concatenate(edges + [-e for e in edges])
+        x = np.concatenate([near, 30.0 * r.standard_normal(16 * 512 * 3 * 7 - near.size)])
+        x = with_specials(x.astype(dtype).reshape(16, 512, 3, 7))
+        g = r.standard_normal(x.shape).astype(dtype)
+        t = Tensor(x.copy(), requires_grad=True)
+        with np.errstate(over="raise"):
+            y = ops.sigmoid(t)
+        y._backward(g)
+        want, want_dx = oracles.sigmoid_branches(x, g)
+        same_bits(y.data, want, "sigmoid out")
+        same_bits(t.grad, want_dx, "sigmoid dx")
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_batchnorm(self, dtype, mode):
+        r = np.random.default_rng(803)
+        for shape in BN_SHAPES:
+            c = shape[1]
+            x = with_specials((3.0 * r.standard_normal(shape) + 1.5).astype(dtype), finite=True)
+            g = r.standard_normal(shape).astype(dtype)
+            p = BnParams.init(c, dtype=dtype)
+            p.gamma.data[...] = r.standard_normal((1, c, 1, 1))
+            p.beta.data[...] = r.standard_normal((1, c, 1, 1))
+            p.running_mean[...] = r.standard_normal(c)
+            p.running_var[...] = r.random(c) + 0.5
+            want = oracles.batchnorm_np(x, p.gamma.data.copy(), p.beta.data.copy(),
+                                        p.running_mean, p.running_var, g, mode)
+            t = Tensor(x.copy(), requires_grad=True)
+            y = ops.batchnorm(t, p, mode)
+            y._backward(g)
+            got = (y.data, t.grad, p.gamma.grad, p.beta.grad, p.running_mean, p.running_var)
+            for name, a, b in zip(("out", "dx", "dgamma", "dbeta", "running_mean",
+                                   "running_var"), got, want):
+                same_bits(a, b, f"batchnorm {mode} {shape} {name}")
+
+
 class TestReductions:
     def test_gap_matches_loop_oracle(self):
         x = rand_t(Rng(701), (3, 4, 5, 6))
