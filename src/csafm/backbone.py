@@ -8,13 +8,14 @@ pool, so each stride-2 stage maps an extent s to ceil(s/2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .ops import BnParams, ConvParams, batchnorm, conv2d, conv_out_size, flatten, fully_connected, maxpool2d, relu
+from .ops import (BnParams, ConvParams, StateTree, batchnorm, conv2d, conv_out_size, flatten,
+                  fully_connected, he_fc, maxpool2d, relu)
 from .tensor import Rng, Tensor
 
 BASE_CHANNELS = (64, 128, 256, 512, 512)
@@ -26,7 +27,7 @@ POOL_K, POOL_S, POOL_P = 3, 2, 1
 
 def scaled_channels(width_multiplier: float = 1.0) -> tuple[int, ...]:
     """Channel counts after the test-only width multiplier (min 1 each)."""
-    if width_multiplier <= 0:
+    if not width_multiplier > 0:
         raise ConfigError(f"width_multiplier must be positive, got {width_multiplier}")
     return tuple(max(1, round(c * width_multiplier)) for c in BASE_CHANNELS)
 
@@ -53,7 +54,7 @@ def feature_shape(h: int, w: int, width_multiplier: float = 1.0) -> tuple[int, i
 
 
 @dataclass
-class BackboneState:
+class BackboneState(StateTree):
     """Parameters of the five conv/bn stages plus an optional classifier head."""
 
     convs: list[ConvParams]
@@ -86,12 +87,7 @@ class BackboneState:
             if image_hw is None:
                 raise ConfigError("classifier head needs image_hw to size its input")
             c, fh, fw = feature_shape(image_hw[0], image_hw[1], width_multiplier)
-            d = c * fh * fw
-            # He-normal on the fan-in of the flattened feature vector
-            std = float(np.sqrt(2.0 / d))
-            wdat = rng.spawn("head").normal(classes * d, 0.0, std).astype(dtype)
-            s.head_w = Tensor(wdat.reshape(classes, d, 1, 1), requires_grad=True)
-            s.head_b = Tensor(np.zeros((1, classes, 1, 1), dtype=dtype), requires_grad=True)
+            s.head_w, s.head_b = he_fc(c * fh * fw, classes, rng.spawn("head"), dtype)
             s.classes = classes
         return s
 
@@ -105,17 +101,13 @@ class BackboneState:
             in_c = c
         return out
 
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        out: list[tuple[str, Tensor]] = []
-        for i, (cv, bn) in enumerate(zip(self.convs, self.bns)):
-            out.append((f"conv{i + 1}.weight", cv.weight))
-            out.append((f"conv{i + 1}.bias", cv.bias))
-            out.append((f"bn{i + 1}.gamma", bn.gamma))
-            out.append((f"bn{i + 1}.beta", bn.beta))
+    def named(self):
+        for i, (cv, bn) in enumerate(zip(self.convs, self.bns), 1):
+            yield from cv.named_under(f"conv{i}")
+            yield from bn.named_under(f"bn{i}")
         if self.head_w is not None:
-            out.append(("head.weight", self.head_w))
-            out.append(("head.bias", self.head_b))
-        return out
+            yield "head.weight", self.head_w, "param"
+            yield "head.bias", self.head_b, "param"
 
 
 def backbone_features(img: Tensor, s: BackboneState, mode: str) -> Tensor:

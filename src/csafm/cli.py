@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
-import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -76,12 +77,13 @@ def run_training(cfg: RunConfig, quiet: bool = False):
     return model, result
 
 
-def cmd_train(args) -> int:
-    cfg = _load_run_config(args)
+def train_and_write(cfg: RunConfig, quiet: bool = False) -> dict:
+    """Train per config and write weights.csafm, history.csv and summary.json
+    to cfg.out_dir; returns the summary. Shared by train and ablate --parallel."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
-    model, result = run_training(cfg)
+    model, result = run_training(cfg, quiet)
     wall = time.monotonic() - t0
     save(model, out / "weights.csafm")
     (out / "history.csv").write_text(history_csv(result.history), encoding="utf-8")
@@ -96,7 +98,13 @@ def cmd_train(args) -> int:
     }
     (out / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    _progress(f"wrote {out / 'weights.csafm'}, history.csv, summary.json")
+    if not quiet:
+        _progress(f"wrote {out / 'weights.csafm'}, history.csv, summary.json")
+    return summary
+
+
+def cmd_train(args) -> int:
+    train_and_write(_load_run_config(args))
     return 0
 
 
@@ -139,40 +147,22 @@ _ABLATION_ORDER = [v.name for v in FusionVariant]
 
 
 def _ablate_parallel(base: dict, out: Path, workers: int) -> dict[str, tuple[float, float]]:
-    """Train each variant in its own CLI subprocess, at most `workers` at once."""
-    vdir = out / "variants"
-    vdir.mkdir(parents=True, exist_ok=True)
-    env = dict(os.environ)
-    pkg_parent = str(Path(__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = pkg_parent + os.pathsep + env.get("PYTHONPATH", "")
-    pending = list(_ABLATION_ORDER)
-    running: dict[str, subprocess.Popen] = {}
+    """Train each variant in a worker process, at most `workers` at once;
+    each writes its files under out/variants/<variant>."""
     rows: dict[str, tuple[float, float]] = {}
-    while pending or running:
-        while pending and len(running) < workers:
-            variant = pending.pop(0)
-            cfg_path = vdir / f"{variant}.json"
-            cfg_path.write_text(json.dumps(
-                {**base, "variant": variant, "out_dir": str(vdir / variant)}))
-            running[variant] = subprocess.Popen(
-                [sys.executable, "-m", "csafm.cli", "train", "--config", str(cfg_path)],
-                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
-            )
-        done = None
-        while done is None:
-            done = next((v for v, p in running.items() if p.poll() is not None), None)
-            if done is None:
-                time.sleep(0.05)
-        proc = running.pop(done)
-        _, err = proc.communicate()
-        if proc.returncode != 0:
-            tail = err.decode(errors="replace").strip().splitlines()[-3:]
-            raise ConfigError(
-                f"variant {done} failed (exit {proc.returncode}): " + " | ".join(tail)
-            )
-        summary = json.loads((vdir / done / "summary.json").read_text())
-        rows[done] = (summary["best_val_cir"], summary["test_cir"])
-        _progress(f"{done}: test_cir {summary['test_cir']:.2f}")
+    spawn = multiprocessing.get_context("spawn")  # fork is unsafe under BLAS threads
+    with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+        runs = {v: pool.submit(train_and_write, RunConfig.from_dict(
+                    {**base, "variant": v, "out_dir": str(out / "variants" / v)}), True)
+                for v in _ABLATION_ORDER}
+        for variant, run in runs.items():
+            try:
+                summary = run.result()
+            except CsafmError as e:
+                pool.shutdown(cancel_futures=True)
+                raise ConfigError(f"variant {variant} failed: {e}") from None
+            rows[variant] = (summary["best_val_cir"], summary["test_cir"])
+            _progress(f"{variant}: test_cir {summary['test_cir']:.2f}")
     return rows
 
 

@@ -3,16 +3,24 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
 from .data import SynthSpec, ingest_dir, synth_generate
 from .errors import ConfigError
 from .fusion import FusionVariant
+from .model import _META_TYPES
 from .tensor import Rng, derive_seed
 
 _MODALITIES = ("fused", "fp", "fv")
+# JSON type of each scalar key, as the weight-file header checks its meta
+_SCALARS = {
+    "seed": "int", "modality": "str", "r1": "int", "r2": "int", "lr": "number",
+    "batch": "int", "epochs": "int", "width_multiplier": "number",
+    "literal_double_mul": "bool", "out_dir": "str",
+}
 
 
 @dataclass
@@ -49,28 +57,25 @@ class RunConfig:
             raise ConfigError(f"batch must be >= 1, got {self.batch}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
         if self.r1 < 1 or self.r2 < 1:
             raise ConfigError(f"reduction ratios must be >= 1, got r1={self.r1} r2={self.r2}")
-        if self.width_multiplier <= 0:
-            raise ConfigError(f"width_multiplier must be > 0, got {self.width_multiplier}")
+        if not (math.isfinite(self.width_multiplier) and self.width_multiplier > 0):
+            raise ConfigError(
+                f"width_multiplier must be finite and > 0, got {self.width_multiplier}")
         if len(self.split) != 3:
             raise ConfigError(f"split needs three fractions, got {self.split}")
-        if any(f <= 0 for f in self.split):
+        if not all(f > 0 for f in self.split):
             raise ConfigError(f"split fractions must be positive, got {self.split}")
-        if abs(sum(self.split) - 1.0) > 1e-9:
+        if not abs(sum(self.split) - 1.0) <= 1e-9:
             raise ConfigError(f"split fractions sum to {sum(self.split)}, need 1.0")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         if not isinstance(d, dict):
             raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
-        known = {
-            "seed", "dataset", "variant", "modality", "r1", "r2", "lr", "batch",
-            "epochs", "split", "width_multiplier", "literal_double_mul", "out_dir",
-        }
-        extra = set(d) - known
+        extra = set(d) - set(_SCALARS) - {"dataset", "variant", "split"}
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
         kw: dict = {}
@@ -78,7 +83,7 @@ class RunConfig:
         if ds is not None:
             if isinstance(ds, str):
                 kw["dataset_path"] = ds
-            elif isinstance(ds, dict) and set(ds) == {"path"}:
+            elif isinstance(ds, dict) and set(ds) == {"path"} and isinstance(ds["path"], str):
                 kw["dataset_path"] = ds["path"]
             elif isinstance(ds, dict) and set(ds) == {"synth"}:
                 kw["synth"] = SynthSpec.from_dict(ds["synth"])
@@ -90,52 +95,29 @@ class RunConfig:
             kw["synth"] = SynthSpec()
         if "variant" in d:
             kw["variant"] = FusionVariant.from_tag(str(d["variant"]))
-        for name, conv in (
-            ("seed", int), ("modality", str), ("r1", int), ("r2", int),
-            ("lr", float), ("batch", int), ("epochs", int),
-            ("width_multiplier", float), ("literal_double_mul", bool),
-            ("out_dir", str),
-        ):
+        for name, want in _SCALARS.items():
             if name in d:
                 v = d[name]
-                if conv is bool and not isinstance(v, bool):
-                    raise ConfigError(f"{name} must be true or false, got {v!r}")
-                try:
-                    kw[name] = conv(v)
-                except (TypeError, ValueError):
-                    raise ConfigError(f"{name} has invalid value {v!r}") from None
+                if not _META_TYPES[want](v):
+                    raise ConfigError(
+                        f"{name} is {v!r}, expected {'true or false' if want == 'bool' else want}")
+                kw[name] = float(v) if want == "number" else v
         if "split" in d:
             s = d["split"]
-            if not (isinstance(s, (list, tuple)) and len(s) == 3):
+            if not (isinstance(s, (list, tuple)) and len(s) == 3
+                    and all(map(_META_TYPES["number"], s))):
                 raise ConfigError(f"split must be a list of three fractions, got {s!r}")
             kw["split"] = tuple(float(x) for x in s)
         return cls(**kw)
 
     def to_dict(self) -> dict:
-        out = {
-            "seed": self.seed,
-            "variant": self.variant.name,
-            "modality": self.modality,
-            "r1": self.r1,
-            "r2": self.r2,
-            "lr": self.lr,
-            "batch": self.batch,
-            "epochs": self.epochs,
-            "split": list(self.split),
-            "width_multiplier": self.width_multiplier,
-            "literal_double_mul": self.literal_double_mul,
-            "out_dir": self.out_dir,
-        }
+        out = {k: getattr(self, k) for k in _SCALARS}
+        out.update(variant=self.variant.name, split=list(self.split))
         if self.dataset_path is not None:
             out["dataset"] = {"path": self.dataset_path}
         else:
-            sp = self.synth
-            out["dataset"] = {"synth": {
-                "grid": list(sp.grid), "fp_size": list(sp.fp_size),
-                "fv_size": list(sp.fv_size), "noise_sigma": sp.noise_sigma,
-                "textures_seed": sp.textures_seed,
-                "samples_per_class": sp.samples_per_class,
-            }}
+            out["dataset"] = {"synth": {k: list(v) if isinstance(v, tuple) else v
+                                        for k, v in asdict(self.synth).items()}}
         return out
 
 

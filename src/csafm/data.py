@@ -26,7 +26,6 @@ levels so in-memory samples equal their PGM round trip exactly.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,7 +38,12 @@ from .errors import (
     PairingError,
     PgmFormatError,
 )
+from .model import _META_TYPES
 from .tensor import Rng, Tensor, derive_seed
+
+# JSON type of each synthesis spec key, as the weight-file header checks its meta
+_SPEC_TYPES = {"grid": "size", "fp_size": "size", "fv_size": "size",
+               "noise_sigma": "number", "textures_seed": "int", "samples_per_class": "int"}
 
 
 @dataclass
@@ -64,7 +68,7 @@ class SynthSpec:
         a, b = self.grid
         if a < 2 or b < 2:
             raise ConfigError(f"grid sides must be >= 2, got {self.grid}")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.samples_per_class < 1:
             raise ConfigError("samples_per_class must be >= 1")
@@ -79,19 +83,15 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthSpec":
-        known = {"grid", "fp_size", "fv_size", "noise_sigma", "textures_seed",
-                 "samples_per_class"}
-        extra = set(d) - known
+        if not isinstance(d, dict):
+            raise ConfigError(f"synth spec must be a JSON object, got {d!r}")
+        extra = set(d) - set(_SPEC_TYPES)
         if extra:
             raise ConfigError(f"unknown synth spec keys: {sorted(extra)}")
-        kw = dict(d)
-        for nm in ("grid", "fp_size", "fv_size"):
-            if nm in kw:
-                v = kw[nm]
-                if not (isinstance(v, (list, tuple)) and len(v) == 2):
-                    raise ConfigError(f"{nm} must be a [x, y] pair, got {v!r}")
-                kw[nm] = (int(v[0]), int(v[1]))
-        return cls(**kw)
+        for k, v in d.items():
+            if not _META_TYPES[_SPEC_TYPES[k]](v):
+                raise ConfigError(f"synth spec {k} is {v!r}, expected {_SPEC_TYPES[k]}")
+        return cls(**{k: tuple(v) if _SPEC_TYPES[k] == "size" else v for k, v in d.items()})
 
 
 # -- PGM (P5) --------------------------------------------------------------

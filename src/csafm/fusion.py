@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .ops import BnParams, ConvParams, batchnorm, conv2d, gap, pwconv, relu, sigmoid
+from .ops import BnParams, ConvParams, StateTree, batchnorm, conv2d, gap, pwconv, relu, sigmoid
 from .tensor import Rng, Tensor, accumulate_grad, ewise_add, ewise_mul, make_node, one_minus
 
 
@@ -44,11 +44,16 @@ class FusionVariant(enum.Enum):
             ) from None
 
 
-# variants whose attention maps carry parameters
-_NEEDS_CHANNEL = {FusionVariant.CSAFM, FusionVariant.CHANNEL_ONLY,
-                  FusionVariant.PARALLEL_CS, FusionVariant.SEQ_SC}
-_NEEDS_SPATIAL = {FusionVariant.CSAFM, FusionVariant.SPATIAL_ONLY,
-                  FusionVariant.PARALLEL_CS, FusionVariant.SEQ_SC}
+# The gated variants as data: their gates in order, "C" channel and "S"
+# spatial, and whether every gate reads the IFI (parallel) or each reads
+# the one before it (series). The other variants have no gates.
+GATED: dict[FusionVariant, tuple[str, bool]] = {
+    FusionVariant.CSAFM: ("CS", False),
+    FusionVariant.CHANNEL_ONLY: ("C", False),
+    FusionVariant.SPATIAL_ONLY: ("S", False),
+    FusionVariant.PARALLEL_CS: ("CS", True),
+    FusionVariant.SEQ_SC: ("SC", False),
+}
 SPATIAL_K = 7  # kernel of both spatial-attention convolutions, padded to keep the map size
 
 
@@ -59,8 +64,13 @@ def bottleneck(c: int, r: int) -> int:
     return c // r
 
 
+def _gates(variant: FusionVariant) -> str:
+    """The gate letters of a variant, "" for one without gates."""
+    return GATED[variant][0] if variant in GATED else ""
+
+
 @dataclass
-class ChannelAttnState:
+class ChannelAttnState(StateTree):
     """Bottlenecked pointwise-conv pair over globally pooled features."""
 
     pw1: ConvParams
@@ -76,13 +86,13 @@ class ChannelAttnState:
             r1=r1,
         )
 
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        return [("pw1.weight", self.pw1.weight), ("pw1.bias", self.pw1.bias),
-                ("pw2.weight", self.pw2.weight), ("pw2.bias", self.pw2.bias)]
+    def named(self):
+        yield from self.pw1.named_under("pw1")
+        yield from self.pw2.named_under("pw2")
 
 
 @dataclass
-class SpatialAttnState:
+class SpatialAttnState(StateTree):
     """Two 7x7 convolutions with batch norm, bottlenecked by r2."""
 
     conv1: ConvParams
@@ -103,15 +113,15 @@ class SpatialAttnState:
             r2=r2,
         )
 
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        return [("conv1.weight", self.conv1.weight), ("conv1.bias", self.conv1.bias),
-                ("bn1.gamma", self.bn1.gamma), ("bn1.beta", self.bn1.beta),
-                ("conv2.weight", self.conv2.weight), ("conv2.bias", self.conv2.bias),
-                ("bn2.gamma", self.bn2.gamma), ("bn2.beta", self.bn2.beta)]
+    def named(self):
+        yield from self.conv1.named_under("conv1")
+        yield from self.bn1.named_under("bn1")
+        yield from self.conv2.named_under("conv2")
+        yield from self.bn2.named_under("bn2")
 
 
 @dataclass
-class FusionState:
+class FusionState(StateTree):
     """Variant tag plus whichever attention parameters that variant uses."""
 
     variant: FusionVariant
@@ -131,9 +141,9 @@ class FusionState:
         dtype=np.float32,
     ) -> "FusionState":
         ch = ChannelAttnState.init(c, r1, rng.spawn("channel"), dtype=dtype) \
-            if variant in _NEEDS_CHANNEL else None
+            if "C" in _gates(variant) else None
         sp = SpatialAttnState.init(c, r2, rng.spawn("spatial"), dtype=dtype) \
-            if variant in _NEEDS_SPATIAL else None
+            if "S" in _gates(variant) else None
         return cls(variant=variant, channel=ch, spatial=sp,
                    literal_double_mul=literal_double_mul)
 
@@ -141,23 +151,21 @@ class FusionState:
     def tensor_sizes(variant: FusionVariant, c: int, r1: int, r2: int) -> list[int]:
         """Element counts of the saved tensors init() makes, without allocating them."""
         out: list[int] = []
-        if variant in _NEEDS_CHANNEL:
+        if "C" in _gates(variant):
             m = bottleneck(c, r1)
             out += [m * c, m, c * m, c]  # pw1 and pw2 weight and bias
-        if variant in _NEEDS_SPATIAL:
+        if "S" in _gates(variant):
             m = bottleneck(c, r2)
             kk = SPATIAL_K * SPATIAL_K
             # conv1 weight and bias, bn1's four tensors, then conv2 and bn2 likewise
             out += [m * c * kk, m] + [m] * 4 + [c * m * kk, c] + [c] * 4
         return out
 
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        out: list[tuple[str, Tensor]] = []
+    def named(self):
         if self.channel is not None:
-            out.extend((f"channel.{k}", t) for k, t in self.channel.parameters())
+            yield from self.channel.named_under("channel")
         if self.spatial is not None:
-            out.extend((f"spatial.{k}", t) for k, t in self.spatial.parameters())
-        return out
+            yield from self.spatial.named_under("spatial")
 
 
 def center_crop(x: Tensor, h: int, w: int) -> Tensor:
@@ -224,19 +232,14 @@ def spatial_attention_map(x: Tensor, s: SpatialAttnState, mode: str) -> Tensor:
     return sigmoid(y)
 
 
-def _apply_channel(x: Tensor, s: ChannelAttnState, literal_double_mul: bool) -> Tensor:
-    """F_c = A_c(x) * x, optionally times x again under the literal reading."""
-    out = ewise_mul(x, channel_attention_map(x, s))
-    if literal_double_mul:
-        out = ewise_mul(out, x)
-    return out
-
-
-def _apply_spatial(x: Tensor, s: SpatialAttnState, mode: str,
-                   literal_double_mul: bool) -> Tensor:
-    """F_s = A_s(x) * x, optionally times x again under the literal reading."""
-    out = ewise_mul(x, spatial_attention_map(x, s, mode))
-    if literal_double_mul:
+def _apply(gate: str, x: Tensor, st: FusionState, mode: str) -> Tensor:
+    """F = A(x) * x for gate "C" (channel map) or "S" (spatial map),
+    times x once more under the literal reading."""
+    if gate == "C":
+        out = ewise_mul(x, channel_attention_map(x, st.channel))
+    else:
+        out = ewise_mul(x, spatial_attention_map(x, st.spatial, mode))
+    if st.literal_double_mul:
         out = ewise_mul(out, x)
     return out
 
@@ -249,6 +252,24 @@ def _soft_select(f_fp: Tensor, f_fv: Tensor, coeffs: list[Tensor]) -> Tensor:
         w1 = ewise_mul(w1, c)
         w2 = ewise_mul(w2, one_minus(c))
     return ewise_add(ewise_mul(f_fp, w1), ewise_mul(f_fv, w2))
+
+
+def _gated_fuse(f_fp: Tensor, f_fv: Tensor, st: FusionState, mode: str,
+                return_parts: bool = False):
+    """Run the gates of st.variant's GATED row over the IFI, then mix the
+    branches by the squashed gate outputs in gate order."""
+    if f_fp.dims != f_fv.dims:
+        raise DimensionError(f"fuse inputs differ: {f_fp.dims} vs {f_fv.dims}")
+    letters, parallel = GATED[st.variant]
+    x = ifi(f_fp, f_fv)
+    parts = {"ifi": x}
+    f = x
+    for g in letters:
+        f = _apply(g, x if parallel else f, st, mode)
+        key = f"f_{g.lower()}"
+        parts[key], parts[key + "_final"] = f, sigmoid(f)
+    z = _soft_select(f_fp, f_fv, [parts[f"f_{g.lower()}_final"] for g in letters])
+    return (z, parts) if return_parts else z
 
 
 def csafm_fuse(
@@ -265,46 +286,14 @@ def csafm_fuse(
     With return_parts=True also returns the intermediate maps
     {ifi, f_c, f_c_final, f_s, f_s_final} for inspection.
     """
-    if f_fp.dims != f_fv.dims:
-        raise DimensionError(f"fuse inputs differ: {f_fp.dims} vs {f_fv.dims}")
-    x = ifi(f_fp, f_fv)
-    f_c = _apply_channel(x, ca, literal_double_mul)
-    f_c_final = sigmoid(f_c)
-    f_s = _apply_spatial(f_c, sa, mode, literal_double_mul)
-    f_s_final = sigmoid(f_s)
-    z = _soft_select(f_fp, f_fv, [f_c_final, f_s_final])
-    if return_parts:
-        return z, {"ifi": x, "f_c": f_c, "f_c_final": f_c_final,
-                   "f_s": f_s, "f_s_final": f_s_final}
-    return z
+    st = FusionState(FusionVariant.CSAFM, ca, sa, literal_double_mul)
+    return _gated_fuse(f_fp, f_fv, st, mode, return_parts)
 
 
 def ablation_fuse(f_fp: Tensor, f_fv: Tensor, st: FusionState, mode: str) -> Tensor:
-    """Dispatch on the configured variant; all paths share _soft_select."""
-    v = st.variant
-    if v is FusionVariant.SERIAL_SUM:
+    """Dispatch on the configured variant; every gated one runs its GATED row."""
+    if st.variant is FusionVariant.SERIAL_SUM:
         return ifi(f_fp, f_fv)
-    if v is FusionVariant.PARALLEL_CONCAT:
+    if st.variant is FusionVariant.PARALLEL_CONCAT:
         return concat_channels(f_fp, f_fv)
-    if f_fp.dims != f_fv.dims:
-        raise DimensionError(f"fuse inputs differ: {f_fp.dims} vs {f_fv.dims}")
-    if v is FusionVariant.CSAFM:
-        return csafm_fuse(f_fp, f_fv, st.channel, st.spatial, mode,
-                          literal_double_mul=st.literal_double_mul)
-    x = ifi(f_fp, f_fv)
-    ldm = st.literal_double_mul
-    if v is FusionVariant.CHANNEL_ONLY:
-        return _soft_select(f_fp, f_fv, [sigmoid(_apply_channel(x, st.channel, ldm))])
-    if v is FusionVariant.SPATIAL_ONLY:
-        return _soft_select(f_fp, f_fv, [sigmoid(_apply_spatial(x, st.spatial, mode, ldm))])
-    if v is FusionVariant.PARALLEL_CS:
-        fc = sigmoid(_apply_channel(x, st.channel, ldm))
-        fs = sigmoid(_apply_spatial(x, st.spatial, mode, ldm))
-        return _soft_select(f_fp, f_fv, [fc, fs])
-    if v is FusionVariant.SEQ_SC:
-        f_s = _apply_spatial(x, st.spatial, mode, ldm)
-        f_s_final = sigmoid(f_s)
-        f_c = _apply_channel(f_s, st.channel, ldm)
-        f_c_final = sigmoid(f_c)
-        return _soft_select(f_fp, f_fv, [f_s_final, f_c_final])
-    raise ConfigError(f"unknown fusion variant {v!r}")
+    return _gated_fuse(f_fp, f_fv, st, mode)

@@ -39,61 +39,15 @@ from .errors import (
     WeightFileVersionError,
 )
 from .fusion import FusionState, FusionVariant, ablation_fuse, standardize
-from .ops import flatten, fully_connected
+from .ops import StateTree, flatten, fully_connected, he_fc
 from .tensor import Rng, Tensor, tensor_from_blob, tensor_to_blob
 
 MAGIC = b"CSAF"
 VERSION = 1
 
 
-def _he_fc(d_in: int, d_out: int, rng: Rng, dtype) -> tuple[Tensor, Tensor]:
-    std = float(np.sqrt(2.0 / d_in))
-    w = rng.normal(d_out * d_in, 0.0, std).astype(dtype).reshape(d_out, d_in, 1, 1)
-    return (Tensor(w, requires_grad=True),
-            Tensor(np.zeros((1, d_out, 1, 1), dtype=dtype), requires_grad=True))
-
-
-def _bn_entries(prefix: str, bn) -> list[tuple[str, np.ndarray, str]]:
-    return [(f"{prefix}.running_mean", bn.running_mean, "running_stat"),
-            (f"{prefix}.running_var", bn.running_var, "running_stat")]
-
-
-def _backbone_entries(prefix: str, s: BackboneState) -> list[tuple[str, np.ndarray, str]]:
-    out: list[tuple[str, np.ndarray, str]] = []
-    for i, (cv, bn) in enumerate(zip(s.convs, s.bns)):
-        out.append((f"{prefix}.conv{i + 1}.weight", cv.weight.data, "param"))
-        out.append((f"{prefix}.conv{i + 1}.bias", cv.bias.data, "param"))
-        out.append((f"{prefix}.bn{i + 1}.gamma", bn.gamma.data, "param"))
-        out.append((f"{prefix}.bn{i + 1}.beta", bn.beta.data, "param"))
-        out.extend(_bn_entries(f"{prefix}.bn{i + 1}", bn))
-    if s.head_w is not None:
-        out.append((f"{prefix}.head.weight", s.head_w.data, "param"))
-        out.append((f"{prefix}.head.bias", s.head_b.data, "param"))
-    return out
-
-
-def _fusion_entries(prefix: str, st: FusionState) -> list[tuple[str, np.ndarray, str]]:
-    out: list[tuple[str, np.ndarray, str]] = []
-    if st.channel is not None:
-        for k, t in st.channel.parameters():
-            out.append((f"{prefix}.channel.{k}", t.data, "param"))
-    if st.spatial is not None:
-        sp = st.spatial
-        out.append((f"{prefix}.spatial.conv1.weight", sp.conv1.weight.data, "param"))
-        out.append((f"{prefix}.spatial.conv1.bias", sp.conv1.bias.data, "param"))
-        out.append((f"{prefix}.spatial.bn1.gamma", sp.bn1.gamma.data, "param"))
-        out.append((f"{prefix}.spatial.bn1.beta", sp.bn1.beta.data, "param"))
-        out.extend(_bn_entries(f"{prefix}.spatial.bn1", sp.bn1))
-        out.append((f"{prefix}.spatial.conv2.weight", sp.conv2.weight.data, "param"))
-        out.append((f"{prefix}.spatial.conv2.bias", sp.conv2.bias.data, "param"))
-        out.append((f"{prefix}.spatial.bn2.gamma", sp.bn2.gamma.data, "param"))
-        out.append((f"{prefix}.spatial.bn2.beta", sp.bn2.beta.data, "param"))
-        out.extend(_bn_entries(f"{prefix}.spatial.bn2", sp.bn2))
-    return out
-
-
 @dataclass
-class FpvCsafmModel:
+class FpvCsafmModel(StateTree):
     """Two backbones, a fusion block, and a flatten+FC classifier head."""
 
     fp_backbone: BackboneState
@@ -132,7 +86,7 @@ class FpvCsafmModel:
         fusion = FusionState.init(variant, c, r1, r2, rng.spawn("fusion"),
                                   literal_double_mul=literal_double_mul, dtype=dtype)
         head_c = 2 * c if variant is FusionVariant.PARALLEL_CONCAT else c
-        head_w, head_b = _he_fc(head_c * fh * fw, classes, rng.spawn("head"), dtype)
+        head_w, head_b = he_fc(head_c * fh * fw, classes, rng.spawn("head"), dtype)
         return cls(fp_backbone=fp_bb, fv_backbone=fv_bb, fusion=fusion,
                    head_w=head_w, head_b=head_b, classes=classes,
                    fp_size=tuple(fp_size), fv_size=tuple(fv_size),
@@ -155,20 +109,12 @@ class FpvCsafmModel:
             )
         return fully_connected(flat, self.head_w, self.head_b)
 
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        out = [(f"fp.{k}", t) for k, t in self.fp_backbone.parameters()]
-        out += [(f"fv.{k}", t) for k, t in self.fv_backbone.parameters()]
-        out += [(f"fusion.{k}", t) for k, t in self.fusion.parameters()]
-        out += [("head.weight", self.head_w), ("head.bias", self.head_b)]
-        return out
-
-    def state_entries(self) -> list[tuple[str, np.ndarray, str]]:
-        out = _backbone_entries("fp", self.fp_backbone)
-        out += _backbone_entries("fv", self.fv_backbone)
-        out += _fusion_entries("fusion", self.fusion)
-        out.append(("head.weight", self.head_w.data, "param"))
-        out.append(("head.bias", self.head_b.data, "param"))
-        return out
+    def named(self):
+        yield from self.fp_backbone.named_under("fp")
+        yield from self.fv_backbone.named_under("fv")
+        yield from self.fusion.named_under("fusion")
+        yield "head.weight", self.head_w, "param"
+        yield "head.bias", self.head_b, "param"
 
     def meta(self) -> dict:
         return {
@@ -185,7 +131,7 @@ class FpvCsafmModel:
 
 
 @dataclass
-class UnimodalClassifier:
+class UnimodalClassifier(StateTree):
     """Single backbone with a classifier head, for one-modality baselines."""
 
     backbone: BackboneState
@@ -215,11 +161,8 @@ class UnimodalClassifier:
         img = fp_img if self.modality == "fp" else fv_img
         return backbone_classify(img, self.backbone, self.classes, mode)
 
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        return [(f"{self.modality}.{k}", t) for k, t in self.backbone.parameters()]
-
-    def state_entries(self) -> list[tuple[str, np.ndarray, str]]:
-        return _backbone_entries(self.modality, self.backbone)
+    def named(self):
+        return self.backbone.named_under(self.modality)
 
     def meta(self) -> dict:
         return {
@@ -332,8 +275,9 @@ def _check_blob_layout(buf: bytes, offset: int, declared: list, path) -> None:
             f"{path}: {len(buf) - offset} unexpected trailing bytes")
 
 
-def _stat_blob(arr: np.ndarray) -> bytes:
-    return tensor_to_blob(Tensor(arr.reshape(1, arr.size, 1, 1)))
+def _stored(arr: np.ndarray, kind: str) -> np.ndarray:
+    """The array as its blob holds it: running statistics as (1, c, 1, 1)."""
+    return arr if kind == "param" else arr.reshape(1, arr.size, 1, 1)
 
 
 def save(m: AnyModel, path) -> None:
@@ -341,11 +285,7 @@ def save(m: AnyModel, path) -> None:
     header = {
         "meta": m.meta(),
         "tensors": [
-            {
-                "name": name,
-                "dims": list(arr.shape) if kind == "param" else [1, arr.size, 1, 1],
-                "kind": kind,
-            }
+            {"name": name, "dims": list(_stored(arr, kind).shape), "kind": kind}
             for name, arr, kind in entries
         ],
     }
@@ -355,10 +295,7 @@ def save(m: AnyModel, path) -> None:
         fh.write(struct.pack("<II", VERSION, len(hbytes)))
         fh.write(hbytes)
         for name, arr, kind in entries:
-            if kind == "param":
-                fh.write(tensor_to_blob(Tensor(arr)))
-            else:
-                fh.write(_stat_blob(arr))
+            fh.write(tensor_to_blob(Tensor(_stored(arr, kind))))
 
 
 def load(path) -> AnyModel:
@@ -411,7 +348,7 @@ def load(path) -> AnyModel:
                 f"{path}: tensor entry {decl['name']!r}/{decl['kind']!r} where "
                 f"{name!r}/{kind!r} expected"
             )
-        want = list(arr.shape) if kind == "param" else [1, arr.size, 1, 1]
+        want = list(_stored(arr, kind).shape)
         if list(decl["dims"]) != want:
             raise WeightFileShapeError(
                 f"{path}: {name} declared dims {decl['dims']}, expected {want}"

@@ -7,8 +7,8 @@ path runs through identical code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Iterator, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -21,8 +21,28 @@ def conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - k) // stride + 1
 
 
+class StateTree:
+    """A model part whose tensors named() lists once, in save order, as
+    (name, value, kind): kind "param" for a trainable Tensor, "running_stat"
+    for a running-statistics array. parameters(), state_entries() and so the
+    weight file, its loader and best-epoch snapshots all read that walk."""
+
+    def named(self) -> Iterator[tuple[str, Union[Tensor, np.ndarray], str]]:
+        raise NotImplementedError
+
+    def named_under(self, prefix: str) -> Iterator[tuple[str, Union[Tensor, np.ndarray], str]]:
+        for name, t, kind in self.named():
+            yield f"{prefix}.{name}", t, kind
+
+    def parameters(self) -> list[tuple[str, Tensor]]:
+        return [(name, t) for name, t, kind in self.named() if kind == "param"]
+
+    def state_entries(self) -> list[tuple[str, np.ndarray, str]]:
+        return [(name, t.data if kind == "param" else t, kind) for name, t, kind in self.named()]
+
+
 @dataclass
-class ConvParams:
+class ConvParams(StateTree):
     """Weights for one convolution: weight (out_c, in_c, kh, kw), bias (1, out_c, 1, 1)."""
 
     weight: Tensor
@@ -66,9 +86,13 @@ class ConvParams:
         bias = Tensor(np.zeros((1, out_c, 1, 1), dtype=dtype), requires_grad=True)
         return cls(weight=weight, bias=bias, stride=stride, pad=pad)
 
+    def named(self):
+        yield "weight", self.weight, "param"
+        yield "bias", self.bias, "param"
+
 
 @dataclass
-class BnParams:
+class BnParams(StateTree):
     """Batch-norm state: learnable gamma/beta plus running statistics.
 
     Running statistics track the biased (1/m) batch moments; eval mode
@@ -107,6 +131,12 @@ class BnParams:
             momentum=momentum,
             eps=eps,
         )
+
+    def named(self):
+        yield "gamma", self.gamma, "param"
+        yield "beta", self.beta, "param"
+        yield "running_mean", self.running_mean, "running_stat"
+        yield "running_var", self.running_var, "running_stat"
 
 
 def _pad(a: np.ndarray, pad: int, value: float) -> np.ndarray:
@@ -415,6 +445,14 @@ def unflatten(x: Tensor, dims) -> Tensor:
         accumulate_grad(x, g.reshape(x.dims))
 
     return make_node(out, (x,), bw)
+
+
+def he_fc(d_in: int, d_out: int, rng, dtype=np.float32) -> tuple[Tensor, Tensor]:
+    """Fully connected weight (d_out, d_in, 1, 1), He-normal on the fan-in d_in, and a zero bias."""
+    std = float(np.sqrt(2.0 / d_in))
+    w = rng.normal(d_out * d_in, 0.0, std).astype(dtype).reshape(d_out, d_in, 1, 1)
+    return (Tensor(w, requires_grad=True),
+            Tensor(np.zeros((1, d_out, 1, 1), dtype=dtype), requires_grad=True))
 
 
 def fully_connected(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

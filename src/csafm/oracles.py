@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written the slow, obvious way (explicit
-loops, per-pixel arithmetic, or the plain numpy expression) and shares no
-code with csafm beyond numpy.
+loops, per-pixel arithmetic, or the plain numpy expression). The module
+imports numpy and nothing from the rest of the package, so the kernels it
+checks, in `csafm verify` and in the tests, share no code with it.
 """
 
 import numpy as np

@@ -2,13 +2,12 @@
 
 Each check is a named function that raises AssertionError on failure;
 run_all prints one PASS/FAIL line per check and reports overall success.
-The oracles here are deliberately naive (nested loops, closed forms) and
-independent of the production kernels they certify.
+The oracles (csafm.oracles and the closed forms here) are deliberately
+naive and independent of the production kernels they certify.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import sys
 import tempfile
@@ -16,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import ops
+from . import ops, oracles
 from .backbone import feature_shape
 from .fusion import (
     ChannelAttnState,
@@ -37,47 +36,6 @@ def _rand(rng: Rng, dims, dtype=np.float32, requires_grad=False, lo=-1.0, hi=1.0
                   requires_grad=requires_grad)
 
 
-def _naive_conv(x, w, b, stride, pad):
-    n, c, h, wd = x.shape
-    oc, ic, kh, kw = w.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (wd + 2 * pad - kw) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    out = np.zeros((n, oc, oh, ow), dtype=np.float64)
-    for ni in range(n):
-        for oi in range(oc):
-            for y in range(oh):
-                for xj in range(ow):
-                    acc = 0.0
-                    for ci in range(ic):
-                        for u in range(kh):
-                            for v in range(kw):
-                                acc += float(xp[ni, ci, y * stride + u, xj * stride + v]) \
-                                    * float(w[oi, ci, u, v])
-                    out[ni, oi, y, xj] = acc + float(b[0, oi, 0, 0])
-    return out
-
-
-def _naive_pool(x, k, stride, pad):
-    n, c, h, w = x.shape
-    oh = (h + 2 * pad - k) // stride + 1
-    ow = (w + 2 * pad - k) // stride + 1
-    out = np.empty((n, c, oh, ow), dtype=x.dtype)
-    for ni in range(n):
-        for ci in range(c):
-            for y in range(oh):
-                for xj in range(ow):
-                    best = -np.inf
-                    for u in range(k):
-                        for v in range(k):
-                            yy = y * stride + u - pad
-                            xx = xj * stride + v - pad
-                            if 0 <= yy < h and 0 <= xx < w:
-                                best = max(best, x[ni, ci, yy, xx])
-                    out[ni, ci, y, xj] = best
-    return out
-
-
 def check_conv_forward_oracle() -> None:
     rng = Rng(101)
     for t in range(8):
@@ -94,7 +52,7 @@ def check_conv_forward_oracle() -> None:
         wt = _rand(geo.spawn("w"), (oc, ic, k, k))
         b = _rand(geo.spawn("b"), (1, oc, 1, 1))
         got = ops.conv2d(x, ops.ConvParams(wt, b, stride, pad)).data
-        want = _naive_conv(x.data, wt.data, b.data, stride, pad)
+        want = oracles.conv2d_loops(x.data, wt.data, b.data.reshape(-1), stride, pad)
         err = float(np.abs(got.astype(np.float64) - want).max())
         assert err <= 1e-5, f"conv deviates from loop oracle by {err}"
 
@@ -111,7 +69,7 @@ def check_pool_forward_oracle() -> None:
         w = k + int(geo.below(5))
         x = _rand(geo.spawn("x"), (n, c, h, w))
         got = ops.maxpool2d(x, k, stride, pad).data
-        want = _naive_pool(x.data, k, stride, pad)
+        want = oracles.maxpool_loops(x.data, k, stride, pad)
         assert (got == want).all(), "maxpool deviates from scan oracle"
 
 
@@ -202,14 +160,7 @@ def check_gap_oracle() -> None:
     rng = Rng(808)
     x = _rand(rng.spawn("x"), (2, 3, 5, 4))
     got = ops.gap(x).data
-    want = np.empty((2, 3, 1, 1), dtype=np.float64)
-    for ni in range(2):
-        for ci in range(3):
-            acc = 0.0
-            for y in range(5):
-                for xx in range(4):
-                    acc += float(x.data[ni, ci, y, xx])
-            want[ni, ci, 0, 0] = acc / 20.0
+    want = oracles.gap_loops(x.data.astype(np.float64))
     err = float(np.abs(got.astype(np.float64) - want).max())
     assert err <= 1e-6, f"gap deviates from loop mean by {err}"
     x64 = Tensor(x.data.astype(np.float64), requires_grad=True)

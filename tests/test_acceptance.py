@@ -47,7 +47,7 @@ from csafm import (
 from csafm.backbone import CONV_PADS, CONV_STRIDES, KERNELS
 from csafm.cli import main
 
-import oracles
+from csafm import oracles
 
 
 def rand_t(rng, dims, dtype=np.float32, grad=False, lo=-1.0, hi=1.0):

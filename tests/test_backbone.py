@@ -15,7 +15,7 @@ from csafm import (
 from csafm import backbone as bb
 from csafm import ops
 
-import oracles
+from csafm import oracles
 
 
 class TestShapeArithmetic:

@@ -157,3 +157,42 @@ class TestResolveDataset:
         root = pgm_tree({0: 2, 1: 2})
         samples = resolve_dataset(RunConfig(dataset_path=str(root)))
         assert len(samples) == 4
+
+
+
+
+
+class TestRejectsBadValues:
+    """Values that once trained wrongly, truncated or ended in a traceback."""
+
+    @pytest.mark.parametrize("d,key", [
+        ({"lr": "nan"}, "lr"),
+        ({"width_multiplier": "nan"}, "width_multiplier"),
+        ({"split": ["a", 0.4, 0.3]}, "split"),
+        ({"split": [None, 0.4, 0.3]}, "split"),
+        ({"dataset": {"synth": {"grid": ["a", 2]}}}, "synth spec"),
+        ({"dataset": {"synth": {"fp_size": [None, 8]}}}, "synth spec"),
+        ({"dataset": {"synth": {"fv_size": [8.5, 8]}}}, "synth spec"),
+        ({"dataset": {"synth": {"samples_per_class": "4"}}}, "synth spec"),
+        ({"dataset": {"synth": 5}}, "synth spec"),
+        ({"dataset": {"path": 5}}, "dataset"),
+        ({"batch": 2.7}, "batch"),
+        ({"r1": 1.5}, "r1"),
+        ({"seed": True}, "seed"),
+        ({"epochs": "3"}, "epochs"),
+    ])
+    def test_bad_json_value(self, d, key):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.from_dict(d)
+
+    @pytest.mark.parametrize("kw", [{"lr": float("nan")}, {"width_multiplier": float("nan")},
+                                    {"split": (float("nan"), 0.5, 0.5)}])
+    def test_nan_field(self, kw):
+        with pytest.raises(ConfigError, match=next(iter(kw))):
+            synth_cfg(**kw)
+
+    def test_nan_lr_run_exits_2(self, config_file):
+        from csafm.cli import main
+        path, _ = config_file(lr="nan")
+        assert main(["train", "--config", str(path)]) == 2
+        assert not (path.parent / "run" / "summary.json").exists()

@@ -20,7 +20,7 @@ from csafm import (
 )
 from csafm.data import synth_sample_u8, synth_write
 
-from oracles import nearest_centroid
+from csafm.oracles import nearest_centroid
 
 
 class TestPgm:

@@ -23,7 +23,7 @@ from csafm import (
 )
 from csafm import ops
 
-import oracles
+from csafm import oracles
 
 
 def rand_map(seed, dims, dtype=np.float32, grad=False):

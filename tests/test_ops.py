@@ -15,7 +15,7 @@ from csafm import (
 )
 from csafm import ops
 
-import oracles
+from csafm import oracles
 
 
 def rand_t(rng, dims, scale=1.0, dtype=np.float32, grad=False):
