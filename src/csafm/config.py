@@ -51,6 +51,9 @@ class RunConfig:
     def __post_init__(self):
         if (self.dataset_path is None) == (self.synth is None):
             raise ConfigError("config needs exactly one of dataset path or synth spec")
+        if self.dataset_path == "":
+            # ingest_dir("") would read the working directory as the dataset
+            raise ConfigError("dataset path is empty")
         if self.modality not in _MODALITIES:
             raise ConfigError(f"modality must be one of {_MODALITIES}, got {self.modality!r}")
         if self.batch < 1:

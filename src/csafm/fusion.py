@@ -140,6 +140,10 @@ class FusionState(StateTree):
         literal_double_mul: bool = False,
         dtype=np.float32,
     ) -> "FusionState":
+        if not isinstance(variant, FusionVariant):
+            # a tag string would match no gate letters and build a fusion without gates
+            raise ConfigError(f"fusion variant must be a FusionVariant, got {variant!r}; "
+                              f"FusionVariant.from_tag reads a tag")
         ch = ChannelAttnState.init(c, r1, rng.spawn("channel"), dtype=dtype) \
             if "C" in _gates(variant) else None
         sp = SpatialAttnState.init(c, r2, rng.spawn("spatial"), dtype=dtype) \

@@ -18,11 +18,6 @@ import numpy as np
 from .tensor import Rng, Tensor
 
 
-def _as_f64(t: Tensor) -> Tensor:
-    out = Tensor(t.data.astype(np.float64), requires_grad=t.requires_grad)
-    return out
-
-
 def numeric_grad(
     f: Callable[[], Tensor],
     wrt: Tensor,

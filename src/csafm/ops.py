@@ -155,25 +155,56 @@ def _pad_cl(x: np.ndarray, pad: int) -> np.ndarray:
     return out
 
 
-def _im2col(xpl: np.ndarray, k: int, s: int, oh: int, ow: int) -> np.ndarray:
-    """(n, H, W, c) padded input -> (n*oh*ow, k*k*c) patch matrix, columns in (i, j, c) order."""
+def _im2col(xpl: np.ndarray, k, s: int, oh: int, ow: int) -> np.ndarray:
+    """(n, H, W, c) padded input -> (n*oh*ow, kh*kw*c) patch matrix, columns in (i, j, c) order.
+
+    k is the window, an int for k x k or a (kh, kw) pair. Window (y, x) starts
+    at row s*y, column s*x of xpl; xpl may extend past the last window.
+    """
+    kh, kw = (k, k) if isinstance(k, int) else k
     n, c = xpl.shape[0], xpl.shape[3]
-    win = sliding_window_view(xpl, (k, k), axis=(1, 2))[:, ::s, ::s]
-    return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, k * k * c)
+    win = sliding_window_view(xpl, (kh, kw), axis=(1, 2))
+    win = win[:, : s * (oh - 1) + 1 : s, : s * (ow - 1) + 1 : s]
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, kh * kw * c)
+
+
+def _live_taps(k: int, s: int, pad: int, size: int, o: int) -> tuple[int, int]:
+    """Kernel offsets [lo, hi) along one axis that can read the input.
+
+    Offset i reads padded cells i, i + s, ..., i + s*(o-1), and the input
+    holds cells [pad, pad + size). So an offset below pad - s*(o-1) reads
+    only leading padding, and one at or above pad + size only trailing.
+    """
+    return max(0, pad - s * (o - 1)), min(k, pad + size)
 
 
 def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     """Cross-correlation with zero padding and per-channel bias.
 
     Forward is one im2col GEMM (Chellapilla et al. 2006): the patch matrix
-    (n*oh*ow, k*k*c) times the weight as (oc, k*k*c), transposed. The
+    (n*oh*ow, kh*kw*c) times the weight as (oc, kh*kw*c), transposed. The
     patch matrix is built from a channels-last padded input with columns
-    in (i, j, c) order, so each window row it copies is one run of k*c
-    contiguous floats rather than c runs of k. The GEMM therefore sums
+    in (i, j, c) order, so each window row it copies is one run of kw*c
+    contiguous floats rather than c runs of kw. The GEMM therefore sums
     over K in (i, j, c) order, and the forward output differs in the last
     bits from a (c, i, j) patch matrix; dw, db and dx do not change, since
     dw still sums over output pixels in the same order and dx over oc.
-    The patch matrix is k*k times the size of the input, so it is dropped
+
+    Only the live taps take part: the kernel rows [i0, i1) and columns
+    [j0, j1) that can read the input (_live_taps). A tap outside them
+    multiplies padding zeros at every output pixel, as the 7x7, pad-3
+    attention convolutions do on a 3x7 or 1x2 fused map; on the backbone
+    every tap is live and nothing is trimmed. dw is added into the live
+    taps of the weight's grad alone, so a dead tap's entry stays +0, which
+    is what the full GEMM gave, and each live tap's dw entry
+    still sums over the same output pixels in the same order. dx sums the
+    same per-tap products in the same order into the same padded buffer, as
+    a dead tap only adds into padding that the crop drops. So dx, dw and db
+    keep their bits. The forward GEMM sums fewer zero terms, and its K
+    blocking moves with K, so where taps are trimmed the output moves in
+    the last bits.
+
+    The patch matrix is kh*kw times the size of the input, so it is dropped
     when forward returns and backward rebuilds it from the padded input
     for dw; keeping it alive until backward would raise peak memory by
     every stage's matrix at once. dx is summed one kernel offset at a
@@ -191,30 +222,36 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
             f"kernel {k}, stride {s}, pad {pad}"
         )
     oc = p.out_c
+    i0, i1 = _live_taps(k, s, pad, h, oh)
+    j0, j1 = _live_taps(k, s, pad, w, ow)
+    kh, kw = i1 - i0, j1 - j0
 
     # np.dot, not @, and g_oc and g2 as copies: BLAS picks its kernel by
     # layout and shape, and the kernels sum in different orders, so another
     # layout of the backward operands changes the low bits of dw and dx.
     # The weight copy comes before the padded input: in the other order
     # glibc kept more heap, and the fusion_paper benchmark peaked 3.9 MiB higher
-    w_cl = p.weight.data.transpose(0, 2, 3, 1).reshape(oc, k * k * c)
+    w_cl = p.weight.data[:, :, i0:i1, j0:j1].transpose(0, 2, 3, 1).reshape(oc, kh * kw * c)
     xpl = _pad_cl(x.data, pad)
-    out = np.dot(_im2col(xpl, k, s, oh, ow), w_cl.T)
+    out = np.dot(_im2col(xpl[:, i0:, j0:], (kh, kw), s, oh, ow), w_cl.T)
     out = np.ascontiguousarray(out.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2))
     out += p.bias.data
 
     def bw(g: np.ndarray) -> None:
         accumulate_grad(p.bias, g.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1))
         g_oc = g.transpose(1, 0, 2, 3).reshape(oc, n * oh * ow)
-        dw = np.dot(g_oc, _im2col(xpl, k, s, oh, ow))
-        accumulate_grad(p.weight, dw.reshape(oc, k, k, c).transpose(0, 3, 1, 2))
+        dw = np.dot(g_oc, _im2col(xpl[:, i0:, j0:], (kh, kw), s, oh, ow))
+        accumulate_grad(p.weight, dw.reshape(oc, kh, kw, c).transpose(0, 3, 1, 2),
+                        np.s_[:, :, i0:i1, j0:j1])
         if x.requires_grad:
             # dx is built channels-last, so each offset's (n, oh, ow, c)
-            # product adds into dxp without a transposed read
+            # product adds into dxp without a transposed read. dxp keeps its
+            # full padded size: with stride > 1, rows past the last tap's
+            # reach can still lie inside the crop
             g2 = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, oc)
             dxp = np.zeros_like(xpl)
-            for i in range(k):
-                for j in range(k):
+            for i in range(i0, i1):
+                for j in range(j0, j1):
                     contrib = np.dot(g2, p.weight.data[:, :, i, j]).reshape(n, oh, ow, c)
                     dxp[:, i : i + s * oh : s, j : j + s * ow : s] += contrib
             dx = dxp[:, pad : pad + h, pad : pad + w].transpose(0, 3, 1, 2)

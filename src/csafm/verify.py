@@ -202,12 +202,10 @@ def _zeroed_attention(c: int, r: int):
     sa = SpatialAttnState.init(c, r, rng.spawn("sa"))
     for _, t in ca.parameters():
         t.data[:] = 0.0
-    sa.conv1.weight.data[:] = 0.0
-    sa.conv1.bias.data[:] = 0.0
-    sa.conv2.weight.data[:] = 0.0
-    sa.conv2.bias.data[:] = 0.0
-    sa.bn1.beta.data[:] = 0.0
-    sa.bn2.beta.data[:] = 0.0
+    # every spatial parameter but the batchnorm gammas, which stay 1
+    for name, t in sa.parameters():
+        if not name.endswith(".gamma"):
+            t.data[:] = 0.0
     return ca, sa
 
 

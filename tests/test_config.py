@@ -191,6 +191,21 @@ class TestRejectsBadValues:
         with pytest.raises(ConfigError, match=next(iter(kw))):
             synth_cfg(**kw)
 
+    @pytest.mark.parametrize("ds", ["", {"path": ""}], ids=["string", "path_object"])
+    def test_empty_dataset_path(self, ds):
+        with pytest.raises(ConfigError, match="dataset path is empty"):
+            RunConfig.from_dict({"dataset": ds})
+
+    def test_empty_dataset_path_does_not_read_working_dir(self, config_file, pgm_tree,
+                                                          monkeypatch, capsys):
+        # run from a directory of class folders, an empty path once trained on them
+        from csafm.cli import main
+        path, _ = config_file(dataset="", epochs=1)
+        monkeypatch.chdir(pgm_tree({label: 10 for label in range(4)}))
+        assert main(["train", "--config", str(path)]) == 2
+        assert "dataset path is empty" in capsys.readouterr().err
+        assert not (path.parent / "run" / "summary.json").exists()
+
     def test_nan_lr_run_exits_2(self, config_file):
         from csafm.cli import main
         path, _ = config_file(lr="nan")

@@ -60,6 +60,11 @@ class TestFusedForward:
         y2 = m.forward_batch(fp, fv, "eval").data
         assert np.array_equal(y1, y2)
 
+    def test_string_variant_rejected(self):
+        # a tag string once built a fusion with no gates, and forward raised KeyError
+        with pytest.raises(ConfigError, match="'CSAFM'"):
+            small_fused(variant="CSAFM")
+
     def test_batch_size_mismatch_rejected(self):
         m = small_fused()
         fp, _ = batch_images(4, 2)

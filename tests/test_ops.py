@@ -14,6 +14,7 @@ from csafm import (
     ewise_mul,
 )
 from csafm import ops
+from csafm.backbone import CONV_PADS, CONV_STRIDES, KERNELS, POOL_K, POOL_P, POOL_S
 
 from csafm import oracles
 
@@ -31,6 +32,16 @@ def conv_params(rng, c_in, c_out, k, stride, pad, dtype=np.float64):
 
 def sq_loss(y):
     return ops.mean_all(ewise_mul(y, y))
+
+
+# (n, c, h, w, co, k, stride, pad) shapes on which conv2d trims kernel taps
+# that read only padding
+TRIMMED_TAPS = {
+    "map_2x3": (2, 8, 2, 3, 4, 7, 1, 3),           # attention convs on a 2x3 fused map
+    "stride2_overhang": (1, 3, 3, 3, 4, 7, 2, 3),  # first and last taps of each axis dead
+    "map_1x9": (2, 4, 1, 9, 3, 7, 1, 3),           # one live kernel row
+    "map_1x1_k3": (2, 5, 1, 1, 3, 3, 1, 1),        # one live tap
+}
 
 
 class TestConvForward:
@@ -56,6 +67,19 @@ class TestConvForward:
                 p.bias.data.reshape(-1).astype(np.float64), stride, pad)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want.astype(np.float32))) <= 1e-5, f"trial {trial}"
+
+    @pytest.mark.parametrize("n,c,h,w,co,k,stride,pad", TRIMMED_TAPS.values(), ids=TRIMMED_TAPS)
+    def test_matches_loop_oracle_trimmed_taps(self, n, c, h, w, co, k, stride, pad):
+        rng = Rng(102)
+        x = rand_t(rng, (n, c, h, w))
+        p = conv_params(rng, c, co, k, stride, pad, dtype=np.float32)
+        p.bias.data[...] = rng.normal(co, 0.0, 0.1).reshape(1, co, 1, 1)
+        got = ops.conv2d(x, p).data
+        want = oracles.conv2d_loops(
+            x.data.astype(np.float64), p.weight.data.astype(np.float64),
+            p.bias.data.reshape(-1).astype(np.float64), stride, pad)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-5 * max(1.0, float(np.max(np.abs(want))))
 
     def test_known_tiny_case(self):
         # 1x1 input, k=1: conv is just w*x + b
@@ -109,7 +133,8 @@ class TestConvBackward:
         (2, 1, 12, 14, 4, 7, 2, 3),  # stage 1: 7x7, stride 2, pad 3 on the image
         (2, 8, 1, 2, 2, 7, 1, 3),    # fusion spatial attention: 7x7, pad 3 on a 1x2 map
         (2, 16, 3, 7, 4, 7, 1, 3),   # paper-shape attention: 7x7, pad 3 overhangs a 3x7 map
-    ], ids=["stage1", "fusion_1x2", "paper_3x7"])
+        *TRIMMED_TAPS.values(),
+    ], ids=["stage1", "fusion_1x2", "paper_3x7", *TRIMMED_TAPS])
     def test_matches_loop_oracle(self, n, c, h, w, co, k, stride, pad, dtype, tol):
         rng = Rng(204)
         x = rand_t(rng, (n, c, h, w), dtype=dtype, grad=True)
@@ -125,6 +150,35 @@ class TestConvBackward:
             assert got.dtype == dtype and got.shape == want.shape, name
             scale = max(1.0, float(np.max(np.abs(want))))
             assert np.max(np.abs(got - want)) <= tol * scale, name
+
+
+    def test_dead_tap_weight_grads_are_positive_zero(self):
+        # 7x7, pad 3 on a 2x3 map: kernel rows 2..4 and columns 1..5 read the input
+        rng = Rng(206)
+        x = rand_t(rng, (2, 4, 2, 3), grad=True)
+        p = conv_params(rng, 4, 3, 7, 1, 3, dtype=np.float32)
+        y = ops.conv2d(x, p)
+        y.backward(rand_t(rng, y.dims).data)
+        assert ops._live_taps(7, 1, 3, 2, 2) == (2, 5)
+        assert ops._live_taps(7, 1, 3, 3, 3) == (1, 6)
+        live = np.zeros((7, 7), dtype=bool)
+        live[2:5, 1:6] = True
+        dead = p.weight.grad[:, :, ~live]
+        assert np.all(dead == 0) and not np.signbit(dead).any()
+        assert np.all(p.weight.grad[:, :, live] != 0)
+
+
+class TestLiveTaps:
+    @pytest.mark.parametrize("h,w", [(64, 96), (48, 80), (200, 400), (160, 560)],
+                             ids=["gate_fp", "gate_fv", "paper_fp", "paper_fv"])
+    def test_every_backbone_tap_is_live(self, h, w):
+        # the backbone's convolutions trim nothing, so their bits cannot move
+        for k, s, pad in zip(KERNELS, CONV_STRIDES, CONV_PADS):
+            oh, ow = ops.conv_out_size(h, k, s, pad), ops.conv_out_size(w, k, s, pad)
+            assert ops._live_taps(k, s, pad, h, oh) == (0, k), (h, k, s, pad)
+            assert ops._live_taps(k, s, pad, w, ow) == (0, k), (w, k, s, pad)
+            h = ops.conv_out_size(oh, POOL_K, POOL_S, POOL_P)
+            w = ops.conv_out_size(ow, POOL_K, POOL_S, POOL_P)
 
 
 class TestIm2col:
