@@ -48,7 +48,6 @@ from .ops import (
 )
 from .backbone import (
     BackboneState,
-    backbone_classify,
     backbone_features,
     feature_shape,
     scaled_channels,
@@ -67,7 +66,7 @@ from .fusion import (
     spatial_attention_map,
     standardize,
 )
-from .model import FpvCsafmModel, UnimodalClassifier, build_from_meta, load, save
+from .model import FpvCsafmModel, UnimodalClassifier, load, save
 from .train import (
     AdamState,
     SplitPlan,

@@ -9,13 +9,11 @@ pool, so each stride-2 stage maps an extent s to ceil(s/2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .ops import (BnParams, ConvParams, StateTree, batchnorm, conv2d, conv_out_size, flatten,
-                  fully_connected, he_fc, maxpool2d, relu)
+from .ops import BnParams, ConvParams, StateTree, batchnorm, conv2d, conv_out_size, maxpool2d, relu
 from .tensor import Rng, Tensor
 
 BASE_CHANNELS = (64, 128, 256, 512, 512)
@@ -55,24 +53,13 @@ def feature_shape(h: int, w: int, width_multiplier: float = 1.0) -> tuple[int, i
 
 @dataclass
 class BackboneState(StateTree):
-    """Parameters of the five conv/bn stages plus an optional classifier head."""
+    """Parameters of the five conv/bn stages."""
 
     convs: list[ConvParams]
     bns: list[BnParams]
-    head_w: Optional[Tensor] = None
-    head_b: Optional[Tensor] = None
-    classes: Optional[int] = None
-    width_multiplier: float = 1.0
 
     @classmethod
-    def init(
-        cls,
-        rng: Rng,
-        width_multiplier: float = 1.0,
-        classes: Optional[int] = None,
-        image_hw: Optional[tuple[int, int]] = None,
-        dtype=np.float32,
-    ) -> "BackboneState":
+    def init(cls, rng: Rng, width_multiplier: float = 1.0, dtype=np.float32) -> "BackboneState":
         ch = scaled_channels(width_multiplier)
         convs, bns = [], []
         in_c = 1
@@ -82,14 +69,7 @@ class BackboneState(StateTree):
                 rng.spawn("conv", i), dtype=dtype))
             bns.append(BnParams.init(ch[i], dtype=dtype))
             in_c = ch[i]
-        s = cls(convs=convs, bns=bns, width_multiplier=width_multiplier)
-        if classes is not None:
-            if image_hw is None:
-                raise ConfigError("classifier head needs image_hw to size its input")
-            c, fh, fw = feature_shape(image_hw[0], image_hw[1], width_multiplier)
-            s.head_w, s.head_b = he_fc(c * fh * fw, classes, rng.spawn("head"), dtype)
-            s.classes = classes
-        return s
+        return cls(convs=convs, bns=bns)
 
     @staticmethod
     def tensor_sizes(width_multiplier: float = 1.0) -> list[int]:
@@ -105,9 +85,6 @@ class BackboneState(StateTree):
         for i, (cv, bn) in enumerate(zip(self.convs, self.bns), 1):
             yield from cv.named_under(f"conv{i}")
             yield from bn.named_under(f"bn{i}")
-        if self.head_w is not None:
-            yield "head.weight", self.head_w, "param"
-            yield "head.bias", self.head_b, "param"
 
 
 def backbone_features(img: Tensor, s: BackboneState, mode: str) -> Tensor:
@@ -122,12 +99,3 @@ def backbone_features(img: Tensor, s: BackboneState, mode: str) -> Tensor:
         x = maxpool2d(x, POOL_K, POOL_S, POOL_P)
     return x
 
-
-def backbone_classify(img: Tensor, s: BackboneState, classes: int, mode: str) -> Tensor:
-    """Features -> flatten -> fully connected logits (n, classes, 1, 1)."""
-    if s.head_w is None:
-        raise ConfigError("backbone has no classifier head")
-    if classes != s.classes:
-        raise ConfigError(f"head was built for {s.classes} classes, asked for {classes}")
-    f = backbone_features(img, s, mode)
-    return fully_connected(flatten(f), s.head_w, s.head_b)

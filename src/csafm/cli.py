@@ -114,11 +114,7 @@ def _check_image_sizes(model, dataset) -> None:
     Another size can shrink to the same feature map and score without
     any error, on inputs the weights were never trained on.
     """
-    if isinstance(model, FpvCsafmModel):
-        want = {"fp": model.fp_size, "fv": model.fv_size}
-    else:
-        want = {model.modality: model.image_size}
-    for modality, size in want.items():
+    for modality, size in model.image_sizes.items():
         got = sorted({(getattr(s, modality).h, getattr(s, modality).w) for s in dataset})
         if got != [tuple(size)]:
             raise DimensionError(

@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .backbone import BackboneState, backbone_classify, backbone_features, feature_shape
+from .backbone import BackboneState, backbone_features, feature_shape, scaled_channels
 from .errors import (
     ConfigError,
     DimensionError,
@@ -46,6 +46,24 @@ MAGIC = b"CSAF"
 VERSION = 1
 
 
+def _head(d_in: int, classes: int, rng: Rng, dtype) -> tuple[Tensor, Tensor]:
+    """The flatten+FC classifier weight and bias on d_in features, for either kind."""
+    if classes < 2:
+        raise ConfigError(f"need at least 2 classes, got {classes}")
+    return he_fc(d_in, classes, rng, dtype)
+
+
+def _classify(model: AnyModel, z: Tensor) -> Tensor:
+    """Logits (n, classes, 1, 1) of the head on the feature map z."""
+    flat = flatten(z)
+    if flat.c != model.head_w.dims[1]:
+        raise DimensionError(
+            f"features flatten to {flat.c}, head expects "
+            f"{model.head_w.dims[1]}; image sizes drifted from build time"
+        )
+    return fully_connected(flat, model.head_w, model.head_b)
+
+
 @dataclass
 class FpvCsafmModel(StateTree):
     """Two backbones, a fusion block, and a flatten+FC classifier head."""
@@ -62,6 +80,15 @@ class FpvCsafmModel(StateTree):
     r2: int
     width_multiplier: float
 
+    @staticmethod
+    def head_width(fp_size: tuple[int, int], fv_size: tuple[int, int],
+                   variant: FusionVariant, width_multiplier: float) -> int:
+        """Features the head reads: the fused map, cropped to the smaller branch, flattened."""
+        c, h1, w1 = feature_shape(*fp_size, width_multiplier)
+        _, h2, w2 = feature_shape(*fv_size, width_multiplier)
+        head_c = 2 * c if variant is FusionVariant.PARALLEL_CONCAT else c
+        return head_c * min(h1, h2) * min(w1, w2)
+
     @classmethod
     def build(
         cls,
@@ -76,21 +103,21 @@ class FpvCsafmModel(StateTree):
         literal_double_mul: bool = False,
         dtype=np.float32,
     ) -> "FpvCsafmModel":
-        if classes < 2:
-            raise ConfigError(f"need at least 2 classes, got {classes}")
-        fp_bb = BackboneState.init(rng.spawn("fp"), width_multiplier, dtype=dtype)
-        fv_bb = BackboneState.init(rng.spawn("fv"), width_multiplier, dtype=dtype)
-        c, h1, w1 = feature_shape(fp_size[0], fp_size[1], width_multiplier)
-        _, h2, w2 = feature_shape(fv_size[0], fv_size[1], width_multiplier)
-        fh, fw = min(h1, h2), min(w1, w2)
-        fusion = FusionState.init(variant, c, r1, r2, rng.spawn("fusion"),
-                                  literal_double_mul=literal_double_mul, dtype=dtype)
-        head_c = 2 * c if variant is FusionVariant.PARALLEL_CONCAT else c
-        head_w, head_b = he_fc(head_c * fh * fw, classes, rng.spawn("head"), dtype)
-        return cls(fp_backbone=fp_bb, fv_backbone=fv_bb, fusion=fusion,
-                   head_w=head_w, head_b=head_b, classes=classes,
+        # spawn() leaves rng untouched, so the order of the parts is free
+        head_w, head_b = _head(cls.head_width(fp_size, fv_size, variant, width_multiplier),
+                               classes, rng.spawn("head"), dtype)
+        fusion = FusionState.init(variant, scaled_channels(width_multiplier)[-1], r1, r2,
+                                  rng.spawn("fusion"), literal_double_mul=literal_double_mul,
+                                  dtype=dtype)
+        return cls(fp_backbone=BackboneState.init(rng.spawn("fp"), width_multiplier, dtype=dtype),
+                   fv_backbone=BackboneState.init(rng.spawn("fv"), width_multiplier, dtype=dtype),
+                   fusion=fusion, head_w=head_w, head_b=head_b, classes=classes,
                    fp_size=tuple(fp_size), fv_size=tuple(fv_size),
                    r1=r1, r2=r2, width_multiplier=width_multiplier)
+
+    @property
+    def image_sizes(self) -> dict[str, tuple[int, int]]:
+        return {"fp": self.fp_size, "fv": self.fv_size}
 
     def forward_batch(self, fp_img: Tensor, fv_img: Tensor, mode: str) -> Tensor:
         if fp_img.n != fv_img.n:
@@ -100,14 +127,7 @@ class FpvCsafmModel(StateTree):
         a = backbone_features(fp_img, self.fp_backbone, mode)
         b = backbone_features(fv_img, self.fv_backbone, mode)
         a, b = standardize(a, b)
-        z = ablation_fuse(a, b, self.fusion, mode)
-        flat = flatten(z)
-        if flat.c != self.head_w.dims[1]:
-            raise DimensionError(
-                f"fused features flatten to {flat.c}, head expects "
-                f"{self.head_w.dims[1]}; image sizes drifted from build time"
-            )
-        return fully_connected(flat, self.head_w, self.head_b)
+        return _classify(self, ablation_fuse(a, b, self.fusion, mode))
 
     def named(self):
         yield from self.fp_backbone.named_under("fp")
@@ -135,10 +155,17 @@ class UnimodalClassifier(StateTree):
     """Single backbone with a classifier head, for one-modality baselines."""
 
     backbone: BackboneState
+    head_w: Tensor
+    head_b: Tensor
     classes: int
     image_size: tuple[int, int]
     modality: str
     width_multiplier: float
+
+    @staticmethod
+    def head_width(image_size: tuple[int, int], width_multiplier: float) -> int:
+        """Features the head reads: the backbone map, flattened."""
+        return math.prod(feature_shape(*image_size, width_multiplier))
 
     @classmethod
     def build(
@@ -152,17 +179,26 @@ class UnimodalClassifier(StateTree):
     ) -> "UnimodalClassifier":
         if modality not in ("fp", "fv"):
             raise ConfigError(f"modality must be 'fp' or 'fv', got {modality!r}")
-        bb = BackboneState.init(rng.spawn(modality), width_multiplier,
-                                classes=classes, image_hw=tuple(image_size), dtype=dtype)
-        return cls(backbone=bb, classes=classes, image_size=tuple(image_size),
-                   modality=modality, width_multiplier=width_multiplier)
+        rng = rng.spawn(modality)
+        head_w, head_b = _head(cls.head_width(image_size, width_multiplier),
+                               classes, rng.spawn("head"), dtype)
+        return cls(backbone=BackboneState.init(rng, width_multiplier, dtype=dtype),
+                   head_w=head_w, head_b=head_b, classes=classes,
+                   image_size=tuple(image_size), modality=modality,
+                   width_multiplier=width_multiplier)
+
+    @property
+    def image_sizes(self) -> dict[str, tuple[int, int]]:
+        return {self.modality: self.image_size}
 
     def forward_batch(self, fp_img: Tensor, fv_img: Tensor, mode: str) -> Tensor:
         img = fp_img if self.modality == "fp" else fv_img
-        return backbone_classify(img, self.backbone, self.classes, mode)
+        return _classify(self, backbone_features(img, self.backbone, mode))
 
     def named(self):
-        return self.backbone.named_under(self.modality)
+        yield from self.backbone.named_under(self.modality)
+        yield f"{self.modality}.head.weight", self.head_w, "param"
+        yield f"{self.modality}.head.bias", self.head_b, "param"
 
     def meta(self) -> dict:
         return {
@@ -230,25 +266,16 @@ def _meta_args(meta) -> tuple[str, dict]:
 _BUILDERS = {"fused": FpvCsafmModel, "unimodal": UnimodalClassifier}
 
 
-def build_from_meta(meta: dict, rng: Rng) -> AnyModel:
-    kind, args = _meta_args(meta)
-    return _BUILDERS[kind].build(rng=rng, **args)
-
-
 def _meta_nbytes(kind: str, args: dict) -> int:
     """Bytes of tensor blobs a model built from _meta_args would save, in closed form."""
     wm = args["width_multiplier"]
     if kind == "fused":
-        sizes = BackboneState.tensor_sizes(wm) * 2
-        c, h1, w1 = feature_shape(*args["fp_size"], wm)
-        _, h2, w2 = feature_shape(*args["fv_size"], wm)
-        sizes += FusionState.tensor_sizes(args["variant"], c, args["r1"], args["r2"])
-        head_c = 2 * c if args["variant"] is FusionVariant.PARALLEL_CONCAT else c
-        d = head_c * min(h1, h2) * min(w1, w2)
+        sizes = BackboneState.tensor_sizes(wm) * 2 + FusionState.tensor_sizes(
+            args["variant"], scaled_channels(wm)[-1], args["r1"], args["r2"])
+        d = FpvCsafmModel.head_width(args["fp_size"], args["fv_size"], args["variant"], wm)
     else:
         sizes = BackboneState.tensor_sizes(wm)
-        c, fh, fw = feature_shape(*args["image_size"], wm)
-        d = c * fh * fw
+        d = UnimodalClassifier.head_width(args["image_size"], wm)
     sizes += [args["classes"] * d, args["classes"]]  # head weight and bias
     return sum(16 + 4 * n for n in sizes)
 

@@ -3,10 +3,10 @@ import pytest
 
 from csafm import (
     AdamState,
-    ConfigError,
     DimensionError,
     Rng,
     Tensor,
+    UnimodalClassifier,
     adam_step,
     check_gradients,
     ewise_add,
@@ -80,23 +80,12 @@ class TestForward:
 
 class TestClassify:
     def test_logit_shape(self):
-        s = bb.BackboneState.init(Rng(7), width_multiplier=0.125,
-                                  classes=5, image_hw=(40, 40))
+        m = UnimodalClassifier.build(classes=5, image_size=(40, 40), modality="fp",
+                                     rng=Rng(7), width_multiplier=0.125)
         x = Tensor(np.random.default_rng(1).normal(
             size=(3, 1, 40, 40)).astype(np.float32))
-        y = bb.backbone_classify(x, s, 5, "eval")
+        y = m.forward_batch(x, None, "eval")
         assert y.dims == (3, 5, 1, 1)
-
-    def test_headless_state_cannot_classify(self):
-        s = bb.BackboneState.init(Rng(7), width_multiplier=0.125)
-        with pytest.raises(ConfigError):
-            bb.backbone_classify(Tensor.zeros((1, 1, 40, 40)), s, 5, "eval")
-
-    def test_class_count_must_match_head(self):
-        s = bb.BackboneState.init(Rng(7), width_multiplier=0.125,
-                                  classes=5, image_hw=(40, 40))
-        with pytest.raises(ConfigError):
-            bb.backbone_classify(Tensor.zeros((1, 1, 40, 40)), s, 4, "eval")
 
 
 class TestGradcheck:
@@ -128,8 +117,8 @@ class TestLearning:
     def test_separable_classes_reach_full_accuracy(self):
         """Four constant-intensity classes should be trivially learnable."""
         rng = Rng(55)
-        s = bb.BackboneState.init(rng, width_multiplier=0.125,
-                                  classes=4, image_hw=(36, 36))
+        m = UnimodalClassifier.build(classes=4, image_size=(36, 36), modality="fp",
+                                     rng=rng, width_multiplier=0.125)
         levels = [0.1, 0.35, 0.65, 0.9]
         r = np.random.default_rng(2)
         xs, ys = [], []
@@ -141,16 +130,16 @@ class TestLearning:
                 ys.append(label)
         x = Tensor(np.stack(xs))
         y = np.array(ys)
-        params = s.parameters()
+        params = m.parameters()
         opt = AdamState(lr=3e-3)
         # fixed step count: running stats need ~80 updates to settle for eval
         for step in range(80):
             for _, t in params:
                 t.zero_grad()
-            logits = bb.backbone_classify(x, s, 4, "train")
+            logits = m.forward_batch(x, None, "train")
             loss, _ = ops.softmax_xent(logits, y)
             loss.backward()
             adam_step(params, opt)
-        logits = bb.backbone_classify(x, s, 4, "eval")
+        logits = m.forward_batch(x, None, "eval")
         pred = logits.data.reshape(len(y), 4).argmax(axis=1)
         assert np.array_equal(pred, y)
