@@ -178,6 +178,23 @@ def _live_taps(k: int, s: int, pad: int, size: int, o: int) -> tuple[int, int]:
     return max(0, pad - s * (o - 1)), min(k, pad + size)
 
 
+def _tap_windows(k: int, s: int, pad: int, size: int, o: int) -> list[tuple[int, slice, slice]]:
+    """(t, outputs, inputs) along one axis for each kernel offset t that reads the input.
+
+    Output y reads input cell s*y + t - pad, which lies in [0, size) for
+    ceil((pad - t)/s) <= y <= (size - 1 + pad - t)//s. `outputs` is that
+    window and `inputs` the cells it reads. An offset whose window is empty
+    reads only padding and is left out.
+    """
+    taps = []
+    for t in range(k):
+        lo, hi = max(0, -((t - pad) // s)), min(o, (size - 1 + pad - t) // s + 1)
+        if lo < hi:
+            first = s * lo + t - pad
+            taps.append((t, slice(lo, hi), slice(first, first + s * (hi - lo - 1) + 1, s)))
+    return taps
+
+
 def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     """Cross-correlation with zero padding and per-channel bias.
 
@@ -187,28 +204,38 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     in (i, j, c) order, so each window row it copies is one run of kw*c
     contiguous floats rather than c runs of kw. The GEMM therefore sums
     over K in (i, j, c) order, and the forward output differs in the last
-    bits from a (c, i, j) patch matrix; dw, db and dx do not change, since
-    dw still sums over output pixels in the same order and dx over oc.
+    bits from a (c, i, j) patch matrix.
 
     Only the live taps take part: the kernel rows [i0, i1) and columns
     [j0, j1) that can read the input (_live_taps). A tap outside them
     multiplies padding zeros at every output pixel, as the 7x7, pad-3
     attention convolutions do on a 3x7 or 1x2 fused map; on the backbone
-    every tap is live and nothing is trimmed. dw is added into the live
-    taps of the weight's grad alone, so a dead tap's entry stays +0, which
-    is what the full GEMM gave, and each live tap's dw entry
-    still sums over the same output pixels in the same order. dx sums the
-    same per-tap products in the same order into the same padded buffer, as
-    a dead tap only adds into padding that the crop drops. So dx, dw and db
-    keep their bits. The forward GEMM sums fewer zero terms, and its K
+    every tap is live. The forward GEMM sums fewer zero terms, and its K
     blocking moves with K, so where taps are trimmed the output moves in
     the last bits.
 
-    The patch matrix is kh*kw times the size of the input, so it is dropped
-    when forward returns and backward rebuilds it from the padded input
-    for dw; keeping it alive until backward would raise peak memory by
-    every stage's matrix at once. dx is summed one kernel offset at a
-    time in row-major offset order.
+    Backward is one GEMM per tap (i, j) that reads the input, the shifted
+    GEMM form of convolution (Vasudevan et al. 2017), over only the
+    outputs whose read at that tap lands inside the input (_tap_windows):
+    with g cut to that window as an (m, oc) matrix gs and xw the (m, c)
+    input cells it reads, dw[i, j] = gs.T xw and dx[cells] += gs w[:, :, i, j],
+    added in row-major tap order into an unpadded channels-last dx. dw is
+    built in a +0 buffer, so a tap that reads only padding keeps +0. At
+    c = 1 (stage 1 on the grayscale image) a per-tap dw would be a GEMV,
+    twice as slow, so dw there stays one GEMM of g against the patch
+    matrix, rebuilt from the padded input: kept alive from forward, the
+    patch matrices of all stages would raise peak memory at once. When
+    that image needs no dx, backward ends there.
+
+    Bits: each dx cell sums the same products in the same tap order as a
+    per-tap loop over all outputs, whose other products land in padding,
+    so dx equals that loop's bit for bit at the gate and paper shapes; on
+    a tiny map (3x3 at stride 2) a short window's GEMM moved the last bit.
+    Each dw GEMM sums over only its window's pixels, with N = c where the
+    patch-matrix GEMM had N = kh*kw*c, and BLAS picks its kernel by shape,
+    so dw moves in the last bits against that GEMM at backbone stages 2
+    to 4 and at the gate task's 8-to-64-channel attention conv, and keeps
+    them at the paper's attention convs.
     """
     n, c, h, w = x.dims
     if c != p.in_c:
@@ -226,7 +253,7 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     j0, j1 = _live_taps(k, s, pad, w, ow)
     kh, kw = i1 - i0, j1 - j0
 
-    # np.dot, not @, and g_oc and g2 as copies: BLAS picks its kernel by
+    # np.dot, not @, and g_oc and g_cl as copies: BLAS picks its kernel by
     # layout and shape, and the kernels sum in different orders, so another
     # layout of the backward operands changes the low bits of dw and dx.
     # The weight copy comes before the padded input: in the other order
@@ -239,23 +266,30 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
 
     def bw(g: np.ndarray) -> None:
         accumulate_grad(p.bias, g.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1))
-        g_oc = g.transpose(1, 0, 2, 3).reshape(oc, n * oh * ow)
-        dw = np.dot(g_oc, _im2col(xpl[:, i0:, j0:], (kh, kw), s, oh, ow))
-        accumulate_grad(p.weight, dw.reshape(oc, kh, kw, c).transpose(0, 3, 1, 2),
-                        np.s_[:, :, i0:i1, j0:j1])
-        if x.requires_grad:
-            # dx is built channels-last, so each offset's (n, oh, ow, c)
-            # product adds into dxp without a transposed read. dxp keeps its
-            # full padded size: with stride > 1, rows past the last tap's
-            # reach can still lie inside the crop
-            g2 = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, oc)
-            dxp = np.zeros_like(xpl)
-            for i in range(i0, i1):
-                for j in range(j0, j1):
-                    contrib = np.dot(g2, p.weight.data[:, :, i, j]).reshape(n, oh, ow, c)
-                    dxp[:, i : i + s * oh : s, j : j + s * ow : s] += contrib
-            dx = dxp[:, pad : pad + h, pad : pad + w].transpose(0, 3, 1, 2)
-            accumulate_grad(x, np.ascontiguousarray(dx))
+        dw = np.zeros((k, k, oc, c), dtype=g.dtype)
+        if c == 1:
+            # a per-tap dw would be a GEMV, twice as slow as this one GEMM
+            g_oc = g.transpose(1, 0, 2, 3).reshape(oc, n * oh * ow)
+            dw_live = np.dot(g_oc, _im2col(xpl[:, i0:, j0:], (kh, kw), s, oh, ow))
+            dw[i0:i1, j0:j1] = dw_live.reshape(oc, kh, kw, c).transpose(1, 2, 0, 3)
+        if c > 1 or x.requires_grad:
+            # g_cl (n, oh, ow, oc) is cut to each tap's output window, and
+            # x_cl and dx (n, h, w, c) to the input cells that window reads
+            g_cl = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
+            x_cl = xpl[:, pad : pad + h, pad : pad + w]
+            dx = np.zeros((n, h, w, c), dtype=g.dtype) if x.requires_grad else None
+            cols = _tap_windows(k, s, pad, w, ow)
+            for i, oy, iy in _tap_windows(k, s, pad, h, oh):
+                for j, ox, ix in cols:
+                    gs = g_cl[:, oy, ox].reshape(-1, oc)
+                    if c > 1:
+                        dw[i, j] = np.dot(gs.T, x_cl[:, iy, ix].reshape(-1, c))
+                    if dx is not None:
+                        dx_win = dx[:, iy, ix]
+                        dx_win += np.dot(gs, p.weight.data[:, :, i, j]).reshape(dx_win.shape)
+            if dx is not None:
+                accumulate_grad(x, np.ascontiguousarray(dx.transpose(0, 3, 1, 2)))
+        accumulate_grad(p.weight, dw.transpose(2, 3, 0, 1))
 
     return make_node(out, (x, p.weight, p.bias), bw)
 

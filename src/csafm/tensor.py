@@ -187,20 +187,9 @@ def make_node(
     return out
 
 
-def accumulate_grad(t: Tensor, g: np.ndarray, where=None) -> None:
-    """Add `g` into t.grad if t participates in the graph.
-
-    With `where`, an index into t, g is added into t.grad[where] alone, and
-    a grad made here is +0 outside it.
-    """
-    if where is None:
-        _accumulate(t, g)
-    elif t.requires_grad:
-        if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-            t.grad[where] = g
-        else:
-            t.grad[where] += g
+def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
+    """Add `g` into t.grad if t participates in the graph."""
+    _accumulate(t, g)
 
 
 # -- elementwise arithmetic ------------------------------------------------

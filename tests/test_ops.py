@@ -41,6 +41,7 @@ TRIMMED_TAPS = {
     "stride2_overhang": (1, 3, 3, 3, 4, 7, 2, 3),  # first and last taps of each axis dead
     "map_1x9": (2, 4, 1, 9, 3, 7, 1, 3),           # one live kernel row
     "map_1x1_k3": (2, 5, 1, 1, 3, 3, 1, 1),        # one live tap
+    "single_channel_trimmed": (2, 1, 2, 3, 4, 7, 1, 3),  # c = 1 dw path with trimmed taps
 }
 
 
@@ -166,6 +167,61 @@ class TestConvBackward:
         dead = p.weight.grad[:, :, ~live]
         assert np.all(dead == 0) and not np.signbit(dead).any()
         assert np.all(p.weight.grad[:, :, live] != 0)
+
+
+    def test_input_without_grad_gets_no_dx(self):
+        # c > 1 with no dx wanted: the tap loop still gives dw
+        rng = Rng(207)
+        x = rand_t(rng, (2, 6, 3, 7), dtype=np.float64)
+        p = conv_params(rng, 6, 4, 7, 1, 3)
+        y = ops.conv2d(x, p)
+        g = rand_t(rng, y.dims, dtype=np.float64).data
+        y.backward(g)
+        _, dw, db = oracles.conv2d_backward_loops(x.data, p.weight.data, g, 1, 3)
+        assert x.grad is None
+        assert np.max(np.abs(p.weight.grad - dw)) <= 1e-12 * max(1.0, float(np.max(np.abs(dw))))
+        assert np.max(np.abs(p.bias.grad.reshape(-1) - db)) <= 1e-12 * max(1.0, float(np.max(np.abs(db))))
+
+    @pytest.mark.parametrize("c,co", [(512, 32), (32, 512)], ids=["reduce", "expand"])
+    def test_backward_repeats_bit_for_bit(self, c, co):
+        # the paper's spatial-attention convs: 7x7, pad 3 on a 3x7 map
+        rng = Rng(208)
+        x = rand_t(rng, (2, c, 3, 7), grad=True)
+        p = conv_params(rng, c, co, 7, 1, 3, dtype=np.float32)
+        g = rand_t(rng, (2, co, 3, 7)).data
+        grads = []
+        for _ in range(2):
+            x.grad = p.weight.grad = p.bias.grad = None
+            ops.conv2d(x, p).backward(g)
+            grads.append([t.grad.tobytes() for t in (x, p.weight, p.bias)])
+        assert grads[0] == grads[1]
+
+
+class TestTapWindows:
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    def test_matches_brute_force(self, k, s):
+        for pad in range(4):
+            for size in range(1, 11):
+                o = ops.conv_out_size(size, k, s, pad)
+                if o < 1:
+                    continue
+                taps = ops._tap_windows(k, s, pad, size, o)
+                for t in range(k):
+                    reads = {y: s * y + t - pad for y in range(o) if 0 <= s * y + t - pad < size}
+                    got = [(outs, ins) for tt, outs, ins in taps if tt == t]
+                    if not reads:
+                        assert got == [], (k, s, pad, size, t)
+                        continue
+                    (outs, ins), = got
+                    assert list(range(o)[outs]) == list(reads), (k, s, pad, size, t)
+                    assert list(range(size)[ins]) == list(reads.values()), (k, s, pad, size, t)
+                live = range(*ops._live_taps(k, s, pad, size, o))
+                assert {t for t, _, _ in taps} <= set(live), (k, s, pad, size)
+                if size >= s:
+                    # a stride longer than the input can step over it, so that a
+                    # tap in the live range reads only padding; otherwise exact
+                    assert [t for t, _, _ in taps] == list(live), (k, s, pad, size)
 
 
 class TestLiveTaps:
@@ -423,7 +479,7 @@ BN_SHAPES = [(16, 8, 32, 48), (16, 16, 16, 24), (16, 32, 8, 12), (16, 64, 4, 6),
 
 class TestObviousFormsBitIdentical:
     """relu, sigmoid and batchnorm equal the np.where / np.var forms in
-    tests/oracles.py byte for byte, forward, backward and running stats."""
+    csafm/oracles.py byte for byte, forward, backward and running stats."""
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_relu(self, dtype):
