@@ -4,14 +4,14 @@
 
 The base revision's committed files are exported with `git archive` into a
 fresh directory under --workdir; the change is this checkout as it stands,
-uncommitted edits included. So with a change committed, --base HEAD~1 names
-its parent. For each workload in BENCHMARK.json it runs `perfbench/run.py`
-for BENCHMARK.json's run_seconds, in 10 pairs of base and change at
---trace 0, then 2 pairs at --trace 1. Pair i uses seed i (from 1), and the
-side that runs first alternates from pair to pair. A run that exits non-zero,
-prints no result line or reports `correct: false` has failed; it is kept in
-`runs` and left out of the statistics, and a pair with a failed side is not
-compared. The file holds:
+uncommitted edits and new files included. So with a change committed,
+--base HEAD~1 names its parent. For each workload in BENCHMARK.json it runs
+`perfbench/run.py` for BENCHMARK.json's run_seconds, in 10 pairs of base and
+change at --trace 0, then 2 pairs at --trace 1. Pair i uses seed i (from 1),
+and the side that runs first alternates from pair to pair. A run that exits
+non-zero, prints no result line or reports `correct: false` has failed; it is
+kept in `runs` and left out of the statistics, and a pair with a failed side
+is not compared. The file holds:
 
 - end_to_end: per workload and metric, each side's median, quartiles (as
   perfbench/README.md defines them, `statistics.quantiles(values, n=4)`)
@@ -109,6 +109,8 @@ def main(argv=None) -> int:
     better = {m["name"]: (m["better"], m["unit"]) for m in spec["end_to_end"] + spec["per_layer"]}
     args.workdir.mkdir(parents=True, exist_ok=True)
     sides = {"base": export_base(args.base, args.workdir), "change": ROOT}
+    # edited tracked files and new files git does not ignore, as the runs found them
+    dirty = git("status", "--porcelain") != ""
 
     runs = []
     for w in workloads:
@@ -162,7 +164,6 @@ def main(argv=None) -> int:
                         for name, v in layer.items()}
 
     env = next((r["info"]["env"] for r in runs if r["exit"] == 0), {})
-    dirty = git("status", "--porcelain", "--untracked-files=no") != ""
     out = {
         "base": git("rev-parse", args.base),
         "change": git("rev-parse", "HEAD") + (" + edits" if dirty else ""),

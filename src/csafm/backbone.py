@@ -1,9 +1,18 @@
 """Five-stage CNN branch mapping one grayscale image to a 512-channel map.
 
-Stage layout: conv -> batchnorm -> relu -> 3x3 stride-2 maxpool, five
+Stage layout: conv -> batchnorm -> 3x3 stride-2 maxpool -> relu, five
 times. Stage 1 uses a 7x7 stride-2 kernel; the rest are 3x3 stride 1.
 Paddings are 3 for the 7x7 conv, 1 for the 3x3 convs, and 1 for every
 pool, so each stride-2 stage maps an extent s to ceil(s/2).
+
+The paper's stage applies relu before the pool. relu is monotone, so
+relu(max(x)) = max(relu(x)) over every window, and the first argmax of x
+is the first argmax of relu(x) wherever the max is positive; elsewhere
+both orders pass a zero gradient. Pooling first runs relu and its
+backward on a quarter of the pixels. Values and gradients are equal
+(gradients up to the sign of a zero), and trained weights are
+byte-identical, for finite inputs; a window holding NaN is where the
+orders part (tests/test_ops.py, TestPoolReluOrder).
 """
 
 from __future__ import annotations
@@ -95,7 +104,7 @@ def backbone_features(img: Tensor, s: BackboneState, mode: str) -> Tensor:
     for i in range(5):
         x = conv2d(x, s.convs[i])
         x = batchnorm(x, s.bns[i], mode)
-        x = relu(x)
         x = maxpool2d(x, POOL_K, POOL_S, POOL_P)
+        x = relu(x)
     return x
 

@@ -185,7 +185,7 @@ def center_crop(x: Tensor, h: int, w: int) -> Tensor:
     def bw(g: np.ndarray) -> None:
         dx = np.zeros_like(x.data)
         dx[:, :, oh : oh + h, ow : ow + w] = g
-        accumulate_grad(x, dx)
+        accumulate_grad(x, dx, fresh=True)
 
     return make_node(out, (x,), bw)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionError, ParameterError
 from .tensor import Tensor, accumulate_grad, make_node
@@ -155,25 +155,45 @@ def _pad_cl(x: np.ndarray, pad: int) -> np.ndarray:
     return out
 
 
-def _im2col(xpl: np.ndarray, k, s: int, oh: int, ow: int) -> np.ndarray:
-    """(n, H, W, c) padded input -> (n*oh*ow, kh*kw*c) patch matrix, columns in (i, j, c) order.
+def _windows(xpl: np.ndarray, k, s: int, oh: int, ow: int) -> np.ndarray:
+    """Read-only (n, oh, ow, kh, kw, c) view of the windows of a padded (n, H, W, c) input.
 
     k is the window, an int for k x k or a (kh, kw) pair. Window (y, x) starts
-    at row s*y, column s*x of xpl; xpl may extend past the last window.
+    at row s*y, column s*x of xpl; xpl may extend past the last window. The
+    view is built from explicit strides: about 7 us per call against 19 us
+    for sliding_window_view and its strided slice, and a fused forward
+    takes 14 views. as_strided checks no bounds, so the last window's far
+    edge is checked against xpl here.
     """
     kh, kw = (k, k) if isinstance(k, int) else k
-    n, c = xpl.shape[0], xpl.shape[3]
-    win = sliding_window_view(xpl, (kh, kw), axis=(1, 2))
-    win = win[:, : s * (oh - 1) + 1 : s, : s * (ow - 1) + 1 : s]
-    return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, kh * kw * c)
+    n, hp, wp, c = xpl.shape
+    if s * (oh - 1) + kh > hp or s * (ow - 1) + kw > wp:
+        raise DimensionError(
+            f"{oh}x{ow} windows of {kh}x{kw} at stride {s} do not fit a {hp}x{wp} input")
+    sn, sh, sw, sc = xpl.strides
+    return as_strided(xpl, (n, oh, ow, kh, kw, c), (sn, s * sh, s * sw, sh, sw, sc),
+                      writeable=False)
+
+
+def _im2col(xpl: np.ndarray, k, s: int, oh: int, ow: int) -> np.ndarray:
+    """(n, H, W, c) padded input -> (n*oh*ow, kh*kw*c) patch matrix, columns in (i, j, c) order."""
+    win = _windows(xpl, k, s, oh, ow)
+    n, _, _, kh, kw, c = win.shape
+    return win.reshape(n * oh * ow, kh * kw * c)
 
 
 def _live_taps(k: int, s: int, pad: int, size: int, o: int) -> tuple[int, int]:
-    """Kernel offsets [lo, hi) along one axis that can read the input.
+    """The hull [lo, hi) of the kernel offsets along one axis that can read the input.
 
     Offset i reads padded cells i, i + s, ..., i + s*(o-1), and the input
     holds cells [pad, pad + size). So an offset below pad - s*(o-1) reads
     only leading padding, and one at or above pad + size only trailing.
+    The hull can still hold an offset that reads only padding: when a
+    stride steps over a one-cell input (k=3, stride 2, pad 2 on one cell
+    keeps offsets 0-2, of which 1 reads padding at both outputs). Such an
+    offset multiplies zeros, so the output stays exact and only its work
+    is wasted; no backbone or fusion convolution has this geometry.
+    _tap_windows, which backward uses, leaves it out.
     """
     return max(0, pad - s * (o - 1)), min(k, pad + size)
 
@@ -204,7 +224,13 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     in (i, j, c) order, so each window row it copies is one run of kw*c
     contiguous floats rather than c runs of kw. The GEMM therefore sums
     over K in (i, j, c) order, and the forward output differs in the last
-    bits from a (c, i, j) patch matrix.
+    bits from a (c, i, j) patch matrix. At c = 1 (stage 1 on the grayscale
+    image) a window row is only kw floats long, so the matrix is built
+    tap-major instead, as (kh*kw, n*oh*ow) in one copy of long rows, and
+    the weight multiplies it from the left. That GEMM sums the same
+    products in the same order: outputs and trained weights keep their
+    bits, and the stage-1 forward fell from 3.5 to 2.2 ms at batch 16 on
+    64x96 images (median of 60 calls, BLAS at 1 thread, 2-vCPU VM).
 
     Only the live taps take part: the kernel rows [i0, i1) and columns
     [j0, j1) that can read the input (_live_taps). A tap outside them
@@ -260,12 +286,20 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     # glibc kept more heap, and the fusion_paper benchmark peaked 3.9 MiB higher
     w_cl = p.weight.data[:, :, i0:i1, j0:j1].transpose(0, 2, 3, 1).reshape(oc, kh * kw * c)
     xpl = _pad_cl(x.data, pad)
-    out = np.dot(_im2col(xpl[:, i0:, j0:], (kh, kw), s, oh, ow), w_cl.T)
-    out = np.ascontiguousarray(out.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2))
+    win = _windows(xpl[:, i0:, j0:], (kh, kw), s, oh, ow)
+    if c == 1:
+        # tap-major (kh*kw, n*oh*ow): one copy of rows n*oh*ow long, where the
+        # pixel-major matrix copies rows of kw floats; the same sums come out
+        col_t = win.transpose(3, 4, 5, 0, 1, 2).reshape(kh * kw, n * oh * ow)
+        out = np.dot(w_cl, col_t).reshape(oc, n, oh, ow).transpose(1, 0, 2, 3)
+    else:
+        out = np.dot(win.reshape(n * oh * ow, kh * kw * c), w_cl.T)
+        out = out.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2)
+    out = np.ascontiguousarray(out)
     out += p.bias.data
 
     def bw(g: np.ndarray) -> None:
-        accumulate_grad(p.bias, g.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1))
+        accumulate_grad(p.bias, g.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1), fresh=True)
         dw = np.zeros((k, k, oc, c), dtype=g.dtype)
         if c == 1:
             # a per-tap dw would be a GEMV, twice as slow as this one GEMM
@@ -288,7 +322,7 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
                         dx_win = dx[:, iy, ix]
                         dx_win += np.dot(gs, p.weight.data[:, :, i, j]).reshape(dx_win.shape)
             if dx is not None:
-                accumulate_grad(x, np.ascontiguousarray(dx.transpose(0, 3, 1, 2)))
+                accumulate_grad(x, np.ascontiguousarray(dx.transpose(0, 3, 1, 2)), fresh=True)
         accumulate_grad(p.weight, dw.transpose(2, 3, 0, 1))
 
     return make_node(out, (x, p.weight, p.bias), bw)
@@ -413,17 +447,17 @@ def batchnorm(x: Tensor, p: BnParams, mode: str) -> Tensor:
     def bw(g: np.ndarray) -> None:
         gs = g.sum(axis=axes, keepdims=True)
         gx = (g * xhat).sum(axis=axes, keepdims=True)
-        accumulate_grad(p.beta, gs)
-        accumulate_grad(p.gamma, gx)
+        accumulate_grad(p.beta, gs, fresh=True)
+        accumulate_grad(p.gamma, gx, fresh=True)
         if not x.requires_grad:
             return
         if mode == "eval":
-            accumulate_grad(x, g * (p.gamma.data * inv_std))
+            accumulate_grad(x, g * (p.gamma.data * inv_std), fresh=True)
             return
         dx = g - gs / m
         dx -= xhat * (gx / m)
         dx *= p.gamma.data * inv_std
-        accumulate_grad(x, dx)
+        accumulate_grad(x, dx, fresh=True)
 
     return make_node(out, (x, p.gamma, p.beta), bw)
 
@@ -443,7 +477,7 @@ def relu(x: Tensor) -> Tensor:
     out += 0
 
     def bw(g: np.ndarray) -> None:
-        accumulate_grad(x, g * mask)
+        accumulate_grad(x, g * mask, fresh=True)
 
     return make_node(out, (x,), bw)
 
@@ -468,7 +502,7 @@ def sigmoid(x: Tensor) -> Tensor:
     def bw(g: np.ndarray) -> None:
         t = g * out
         t *= 1.0 - out
-        accumulate_grad(x, t)
+        accumulate_grad(x, t, fresh=True)
 
     return make_node(out, (x,), bw)
 
@@ -490,7 +524,8 @@ def mean_all(x: Tensor) -> Tensor:
     out = np.array(x.data.mean(), dtype=x.data.dtype).reshape(1, 1, 1, 1)
 
     def bw(g: np.ndarray) -> None:
-        accumulate_grad(x, np.broadcast_to(g.reshape(()) / size, x.dims).astype(x.data.dtype))
+        accumulate_grad(x, np.broadcast_to(g.reshape(()) / size, x.dims).astype(x.data.dtype),
+                        fresh=True)
 
     return make_node(out, (x,), bw)
 
@@ -542,10 +577,10 @@ def fully_connected(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def bw(g: np.ndarray) -> None:
         g2 = g.reshape(n, d_out)
-        accumulate_grad(b, g2.sum(axis=0).reshape(1, d_out, 1, 1))
-        accumulate_grad(w, (g2.T @ x2).reshape(d_out, d, 1, 1))
+        accumulate_grad(b, g2.sum(axis=0).reshape(1, d_out, 1, 1), fresh=True)
+        accumulate_grad(w, (g2.T @ x2).reshape(d_out, d, 1, 1), fresh=True)
         if x.requires_grad:
-            accumulate_grad(x, (g2 @ w2).reshape(x.dims))
+            accumulate_grad(x, (g2 @ w2).reshape(x.dims), fresh=True)
 
     return make_node(out, (x, w, b), bw)
 
@@ -576,7 +611,7 @@ def softmax_xent(logits: Tensor, labels: np.ndarray) -> tuple[Tensor, Tensor]:
         d = p.copy()
         d[np.arange(n), y] -= 1
         d *= g.reshape(()) / n
-        accumulate_grad(logits, d.reshape(logits.dims))
+        accumulate_grad(logits, d.reshape(logits.dims), fresh=True)
 
     loss = make_node(loss_val, (logits,), bw)
     probs = Tensor(p.reshape(n, k, 1, 1).copy())

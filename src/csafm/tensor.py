@@ -129,7 +129,9 @@ class Tensor:
 
         `seed` defaults to all-ones (appropriate for a scalar loss node).
         Gradients accumulate into every reachable tensor with
-        requires_grad set.
+        requires_grad set. Only leaves keep theirs: an interior node's
+        gradient is dropped once its closure has passed it on, so each
+        frees as soon as the walk is past it.
         """
         if seed is None:
             seed = np.ones_like(self.data)
@@ -159,18 +161,19 @@ class Tensor:
         _accumulate(self, seed)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+                g, node.grad = node.grad, None
+                node._backward(g)
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
     if not t.requires_grad:
         return
-    if g.shape != t.data.shape:
-        g = np.broadcast_to(g, t.data.shape)
-    if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype)
-    else:
+    if t.grad is not None:
         t.grad += g
+    elif fresh and g.shape == t.data.shape and g.dtype == t.data.dtype:
+        t.grad = g
+    else:
+        t.grad = np.array(np.broadcast_to(g, t.data.shape), dtype=t.data.dtype)
 
 
 def make_node(
@@ -187,9 +190,17 @@ def make_node(
     return out
 
 
-def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
-    """Add `g` into t.grad if t participates in the graph."""
-    _accumulate(t, g)
+def accumulate_grad(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add `g` into t.grad if t participates in the graph.
+
+    The first gradient a tensor receives is copied, unless the caller
+    passes fresh=True: g is then an array its backward closure has just
+    allocated, which nothing else holds, and t.grad adopts it. Never pass
+    fresh=True for a view of another array or for a g that goes to more
+    than one tensor, as ewise_add's does: a later += into one grad would
+    write into the other.
+    """
+    _accumulate(t, g, fresh)
 
 
 # -- elementwise arithmetic ------------------------------------------------
@@ -225,11 +236,11 @@ def ewise_mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
     def bw(g: np.ndarray) -> None:
-        _accumulate(a, g * b.data)
+        _accumulate(a, g * b.data, fresh=True)
         if broadcast:
-            _accumulate(b, (g * a.data).sum(axis=(2, 3), keepdims=True))
+            _accumulate(b, (g * a.data).sum(axis=(2, 3), keepdims=True), fresh=True)
         else:
-            _accumulate(b, g * a.data)
+            _accumulate(b, g * a.data, fresh=True)
 
     return make_node(out, (a, b), bw)
 
@@ -240,7 +251,7 @@ def one_minus(a: Tensor) -> Tensor:
     out = dt.type(1.0) - a.data
 
     def bw(g: np.ndarray) -> None:
-        _accumulate(a, -g)
+        _accumulate(a, -g, fresh=True)
 
     return make_node(out, (a,), bw)
 

@@ -248,6 +248,15 @@ class TestIm2col:
         got = ops._im2col(ops._pad_cl(x, pad), k, stride, oh, ow)
         assert np.array_equal(got, oracles.im2col_loops(x, k, stride, pad))
 
+    def test_windows_past_the_input_rejected(self):
+        # as_strided checks no bounds, so _windows must refuse a window that overruns
+        xpl = np.zeros((1, 5, 5, 2), dtype=np.float32)
+        assert ops._windows(xpl, 3, 2, 2, 2).shape == (1, 2, 2, 3, 3, 2)
+        with pytest.raises(DimensionError):
+            ops._windows(xpl, 3, 2, 3, 2)
+        with pytest.raises(DimensionError):
+            ops._windows(xpl, (3, 4), 1, 3, 3)
+
 
 class TestPwconv:
     def test_matches_matvec_oracle(self):
@@ -532,6 +541,47 @@ class TestObviousFormsBitIdentical:
             for name, a, b in zip(("out", "dx", "dgamma", "dbeta", "running_mean",
                                    "running_var"), got, want):
                 same_bits(a, b, f"batchnorm {mode} {shape} {name}")
+
+
+# maxpool inputs of backbone stages 1-4 on the train_gate task (fp 64x96 and
+# fv 48x80 at width 0.125, batch 16)
+POOL_SHAPES = [(16, 8, 32, 48), (16, 16, 16, 24), (16, 32, 8, 12), (16, 64, 4, 6),
+               (16, 8, 24, 40), (16, 16, 12, 20), (16, 32, 6, 10), (16, 64, 3, 5)]
+
+
+class TestPoolReluOrder:
+    """The backbone pools before relu; the paper's stage has relu first.
+
+    relu is monotone, so both orders give the same bytes forward, and the
+    same input gradient under ==: a window whose max is positive routes to
+    the same first argmax, and one whose max is not positive passes a zero,
+    +0 in one order and possibly -0 in the other. The data hold ties, +-0
+    and -inf. A window holding NaN is where the orders part: relu first
+    turns the NaN into +0 and the pool takes the window's largest other
+    value and routes its gradient there, while pool first takes the NaN,
+    relu makes it +0 and the gradient is zero.
+    """
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("dims", POOL_SHAPES, ids=lambda d: "x".join(map(str, d)))
+    def test_orders_agree(self, dims, dtype):
+        r = np.random.default_rng(811)
+        x = r.integers(-3, 4, dims).astype(dtype)  # small integers: many ties and zeros
+        x[(x == 0) & (r.random(dims) < 0.5)] = -0.0
+        x[r.random(dims) < 0.02] = -np.inf
+        n, c, h, w = dims
+        oh, ow = (ops.conv_out_size(e, POOL_K, POOL_S, POOL_P) for e in (h, w))
+        g = r.standard_normal((n, c, oh, ow)).astype(dtype)
+        g[r.random(g.shape) < 0.1] = -0.0
+        pool_first = Tensor(x.copy(), requires_grad=True)
+        relu_first = Tensor(x.copy(), requires_grad=True)
+        a = ops.relu(ops.maxpool2d(pool_first, POOL_K, POOL_S, POOL_P))
+        b = ops.maxpool2d(ops.relu(relu_first), POOL_K, POOL_S, POOL_P)
+        assert a.data.dtype == b.data.dtype and a.data.tobytes() == b.data.tobytes()
+        a.backward(g)
+        b.backward(g)
+        assert np.array_equal(pool_first.grad, relu_first.grad)
+        assert np.count_nonzero(pool_first.grad) > 0
 
 
 class TestReductions:

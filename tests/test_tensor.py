@@ -2,20 +2,37 @@ import numpy as np
 import pytest
 
 from csafm import (
+    BnParams,
+    ConvParams,
     DimensionError,
     ParameterError,
     Rng,
     Tensor,
+    batchnorm,
+    center_crop,
+    concat_channels,
+    conv2d,
     WeightFileTruncatedError,
     derive_seed,
     ewise_add,
     ewise_mul,
+    flatten,
+    fully_connected,
+    gap,
+    maxpool2d,
+    mean_all,
     no_grad,
     one_minus,
+    pwconv,
+    relu,
     rng_fill,
+    sigmoid,
+    softmax_xent,
     tensor_from_blob,
     tensor_to_blob,
+    unflatten,
 )
+from csafm.ops import he_fc
 
 
 class TestTensorBasics:
@@ -123,6 +140,111 @@ class TestAutodiff:
         assert np.all(b.grad == 6.0)
         with pytest.raises(DimensionError):
             ewise_add(b, b).backward(seed=np.ones((1, 1, 1, 1), dtype=np.float32))
+
+
+def leaf(seed, dims):
+    r = np.random.default_rng(seed)
+    return Tensor(r.standard_normal(dims).astype(np.float32), requires_grad=True)
+
+
+def conv(c_in, c_out, k, stride, pad):
+    return ConvParams.he_init(c_in, c_out, k, stride, pad, Rng(7))
+
+
+def fc_logits():
+    w, b = he_fc(8, 3, Rng(8))
+    return fully_connected(flatten(leaf(11, (4, 2, 2, 2))), w, b)
+
+
+def with_itself(op):
+    a = leaf(7, (1, 2, 2, 2))
+    return op(a, a)
+
+
+def shared_interior():
+    y = relu(leaf(12, (1, 2, 3, 3)))  # an interior node with three consumers
+    return ewise_add(ewise_mul(y, y), y)
+
+
+# one small graph per op whose backward hands over or copies a gradient
+HANDOVER_GRAPHS = {
+    "conv2d_c1": lambda: conv2d(leaf(1, (2, 1, 9, 9)), conv(1, 3, 7, 2, 3)),
+    "conv2d": lambda: conv2d(leaf(2, (2, 3, 5, 5)), conv(3, 4, 3, 1, 1)),
+    "pwconv": lambda: pwconv(leaf(3, (2, 3, 2, 2)), conv(3, 2, 1, 1, 0)),
+    "maxpool2d": lambda: maxpool2d(leaf(4, (2, 2, 5, 5)), 3, 2, 1),
+    "batchnorm_train": lambda: batchnorm(leaf(5, (2, 3, 2, 2)), BnParams.init(3), "train"),
+    "batchnorm_eval": lambda: batchnorm(leaf(5, (2, 3, 2, 2)), BnParams.init(3), "eval"),
+    "relu": lambda: relu(leaf(6, (1, 2, 3, 3))),
+    "sigmoid": lambda: sigmoid(leaf(6, (1, 2, 3, 3))),
+    "gap": lambda: gap(leaf(6, (1, 2, 3, 3))),
+    "mean_all": lambda: mean_all(leaf(6, (1, 2, 3, 3))),
+    "flatten": lambda: flatten(leaf(6, (1, 2, 3, 3))),
+    "unflatten": lambda: unflatten(flatten(leaf(6, (1, 2, 3, 3))), (1, 2, 3, 3)),
+    "fully_connected": fc_logits,
+    "softmax_xent": lambda: softmax_xent(fc_logits(), np.array([0, 2, 1, 2]))[0],
+    "ewise_add": lambda: ewise_add(leaf(7, (1, 2, 2, 2)), leaf(8, (1, 2, 2, 2))),
+    "ewise_add_same": lambda: with_itself(ewise_add),
+    "ewise_mul": lambda: ewise_mul(leaf(7, (1, 2, 2, 2)), leaf(8, (1, 2, 2, 2))),
+    "ewise_mul_same": lambda: with_itself(ewise_mul),
+    "ewise_mul_broadcast": lambda: ewise_mul(leaf(7, (1, 2, 2, 2)), leaf(8, (1, 2, 1, 1))),
+    "one_minus": lambda: one_minus(leaf(7, (1, 2, 2, 2))),
+    "center_crop": lambda: center_crop(leaf(9, (1, 2, 4, 4)), 2, 2),
+    "concat_channels": lambda: concat_channels(leaf(9, (1, 2, 2, 2)), leaf(10, (1, 1, 2, 2))),
+    "shared_interior": shared_interior,
+}
+
+
+def graph_nodes(root):
+    """Every tensor reachable from root through the recorded parents."""
+    seen, stack, nodes = set(), [root], []
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            nodes.append(t)
+            stack.extend(t._parents)
+    return nodes
+
+
+class TestGradHandover:
+    """A backward closure may hand a gradient it has just allocated to the
+    tensor (accumulate_grad(..., fresh=True)) instead of having it copied.
+    No handed-over array may be reachable from a second tensor or from the
+    caller's seed, and backward keeps gradients on leaves only."""
+
+    @pytest.mark.parametrize("name", list(HANDOVER_GRAPHS))
+    def test_grads_own_their_memory(self, name):
+        root = HANDOVER_GRAPHS[name]()
+        nodes = graph_nodes(root)
+        seed = np.random.default_rng(13).standard_normal(root.dims).astype(root.dtype)
+        kept = seed.copy()
+        root.backward(seed)
+        assert np.array_equal(seed, kept)
+        for t in nodes:
+            if t._backward is None:
+                assert (t.grad is not None) == t.requires_grad
+            else:
+                assert t.grad is None  # interior grads are dropped once passed on
+        grads = [t.grad for t in nodes if t.grad is not None]
+        assert grads
+        for i, g in enumerate(grads):
+            assert g.flags.writeable
+            assert not np.shares_memory(g, seed)
+            for other in grads[i + 1:]:
+                assert not np.shares_memory(g, other)
+
+    def test_leaf_root_copies_the_seed(self):
+        x = leaf(14, (1, 1, 2, 2))
+        seed = np.full(x.dims, 2.0, dtype=np.float32)
+        x.backward(seed)
+        assert np.array_equal(x.grad, seed) and not np.shares_memory(x.grad, seed)
+
+    def test_second_backward_adds_into_leaf_grads(self):
+        a = leaf(15, (1, 2, 2, 2))
+        ewise_mul(a, a).backward()
+        first = a.grad.copy()
+        ewise_mul(a, a).backward()
+        assert np.array_equal(a.grad, 2 * first)
 
 
 class TestRng:

@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,7 @@ from csafm import (
     predict,
     train_loop,
 )
+from csafm.cli import train_and_write
 
 
 def one_param(value=1.0, dims=(1, 1, 1, 1), dtype=np.float32):
@@ -298,3 +302,45 @@ class TestHistoryCsv:
         assert lines[1] == "1,0.500000,25.000000"
         assert lines[2] == "2,0.250000,50.000000"
         assert text.endswith("\n")
+
+
+# sha256 of weights.csafm and history.csv after `csafm train` for 3 epochs
+# on conftest's 2x2-grid config (24x24 fp, 20x20 fv, width 0.125, seed 5):
+# the seven fusion variants and both unimodal baselines. A speed-up that
+# keeps the arithmetic keeps these digests, at one BLAS thread or two.
+TRAINED_SHA256 = {
+    "CSAFM": ("4c44387732446aeeaba251546f953ae16529328d5b6025fbb15539825745e54e",
+             "db9b3eb28305c3d8fd7d6a332d95ee5eb4d335b8732296903f3a8c09cc5eb416"),
+    "CHANNEL_ONLY": ("4968e6f43e566c628b59120e293e416a45c3ef95c752f0285384e70ccdb256d3",
+                    "8803a7d5a0891278245aad875369b31e2426b1f97719463081071d81418d6fb0"),
+    "SPATIAL_ONLY": ("3e1bae2b16f39f84bd9bc2f698f4c3bc339b0dea9de65538059b587de272f149",
+                    "6e5107baf4c8e52adfe5775bbca3ccc74a36b64d0fee81d143d47f0c49d6270f"),
+    "PARALLEL_CS": ("dfbc14433014e9ddd6b6a30039bfa4d52aa742c3fdc266bbd7c7f8746b6c6538",
+                   "9b7f75a6ae56070213105c1ceb163082f3493808d0bbe9715a9ea271c495607d"),
+    "SEQ_SC": ("f1e76ee638ca94f8e2eb75d32cf9bc8ad4d3de645cdd7e5df003cb577a281219",
+              "e349a3fd851beaf3cfe1b0fd302c8c3ec6c38cbf9cc75678ef01a298cd33e7df"),
+    "SERIAL_SUM": ("69490cd3f852f6bcf7d4adaba6f45fd93aded3b7660ee2125fe654374e5366fb",
+                  "148d6968e04fe9a412e0aa7bb6c86198b996a631cbf77fb91cd64750a222fae9"),
+    "PARALLEL_CONCAT": ("b2753549985710e89fae29643261e8a14754006d4fec4e354a0089530c6ef2b2",
+                       "3ab1c1b13d261a25a65dd2b8e199c0cd81f329114bb75e7ec178d2d5ed8e4d0b"),
+    "fp": ("f06d4da49752d88a828736461b6c5ac3fc769afc57c777c5e78a513e2c1fb10e",
+          "3da14f7cdddf8260472bf66c7ce9886754334ba3bb1a87ea4e7fbcffd6186089"),
+    "fv": ("124edbd0c62d74e6bd5aa038d5cf1a1c8766273a1e54a87a65e3ec2ccc0a9875",
+          "0ef7057d2b4e002151845f090db8844b935259d383d4d7a94b3e564a9106318f"),
+}
+
+
+class TestTrainedBits:
+    @pytest.mark.parametrize("name", list(TRAINED_SHA256))
+    def test_three_epochs_train_pinned_bytes(self, config_file, name):
+        """weights.csafm and history.csv of a 3-epoch run, byte for byte.
+        A change that moves trained bits, even in the last place, updates
+        these pins and says so in CHANGES.md."""
+        kind = ({"modality": name} if name in ("fp", "fv")
+                else {"variant": name})
+        _, cfg = config_file(epochs=3, **kind)
+        train_and_write(RunConfig.from_dict(cfg), quiet=True)
+        out = Path(cfg["out_dir"])
+        got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                    for f in ("weights.csafm", "history.csv"))
+        assert got == TRAINED_SHA256[name]
