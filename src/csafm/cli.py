@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -41,6 +42,8 @@ def _worker_cap() -> int:
         if cap < 1:
             raise ConfigError(f"CSAFM_THREADS must be >= 1, got {cap}")
         return cap
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -64,8 +67,12 @@ def _build_model(cfg: RunConfig, dataset) -> object:
     )
 
 
-def run_training(cfg: RunConfig, quiet: bool = False):
-    """Train per config; returns (model, result). Shared by train and ablate."""
+def train_and_write(cfg: RunConfig, quiet: bool = False) -> dict:
+    """Train per config and write weights.csafm, history.csv and summary.json
+    to cfg.out_dir; returns the summary. Shared by train and ablate's workers."""
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    t0 = time.monotonic()
     dataset = resolve_dataset(cfg)
     model = _build_model(cfg, dataset)
 
@@ -74,16 +81,6 @@ def run_training(cfg: RunConfig, quiet: bool = False):
             _progress(f"epoch {epoch}/{cfg.epochs} loss {loss:.6f} val_cir {val:.2f}")
 
     result = train_loop(model, dataset, cfg, progress=report)
-    return model, result
-
-
-def train_and_write(cfg: RunConfig, quiet: bool = False) -> dict:
-    """Train per config and write weights.csafm, history.csv and summary.json
-    to cfg.out_dir; returns the summary. Shared by train and ablate --parallel."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    t0 = time.monotonic()
-    model, result = run_training(cfg, quiet)
     wall = time.monotonic() - t0
     save(model, out / "weights.csafm")
     (out / "history.csv").write_text(history_csv(result.history), encoding="utf-8")
@@ -140,14 +137,34 @@ def cmd_eval(args) -> int:
 
 
 _ABLATION_ORDER = [v.name for v in FusionVariant]
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _ablate_parallel(base: dict, out: Path, workers: int) -> dict[str, tuple[float, float]]:
-    """Train each variant in a worker process, at most `workers` at once;
-    each writes its files under out/variants/<variant>."""
+@contextmanager
+def _blas_pinned_pool(workers: int):
+    """A spawn pool (fork is unsafe under BLAS threads) whose workers run BLAS
+    at one thread unless the caller set a count. Spawn children read these
+    variables before numpy loads BLAS; the parent's environment comes back on
+    every exit. Spinning OpenBLAS threads made two 2-thread workers on a
+    2-vCPU VM take 165 s on the seed-7 gate ablation, against 46 s at one."""
+    unset = [v for v in _BLAS_VARS if v not in os.environ]
+    os.environ.update(dict.fromkeys(unset, "1"))
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            yield pool
+    finally:
+        for v in unset:
+            os.environ.pop(v, None)
+
+
+def cmd_ablate(args) -> int:
+    cfg = _load_run_config(args)
+    workers = min(len(_ABLATION_ORDER), _worker_cap())
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    base = {**cfg.to_dict(), "modality": "fused"}
     rows: dict[str, tuple[float, float]] = {}
-    spawn = multiprocessing.get_context("spawn")  # fork is unsafe under BLAS threads
-    with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+    with _blas_pinned_pool(workers) as pool:
         runs = {v: pool.submit(train_and_write, RunConfig.from_dict(
                     {**base, "variant": v, "out_dir": str(out / "variants" / v)}), True)
                 for v in _ABLATION_ORDER}
@@ -159,24 +176,6 @@ def _ablate_parallel(base: dict, out: Path, workers: int) -> dict[str, tuple[flo
                 raise ConfigError(f"variant {variant} failed: {e}") from None
             rows[variant] = (summary["best_val_cir"], summary["test_cir"])
             _progress(f"{variant}: test_cir {summary['test_cir']:.2f}")
-    return rows
-
-
-def cmd_ablate(args) -> int:
-    cfg = _load_run_config(args)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    base = cfg.to_dict()
-    base["modality"] = "fused"
-    if args.parallel:
-        rows = _ablate_parallel(base, out, min(len(_ABLATION_ORDER), _worker_cap()))
-    else:
-        rows = {}
-        for variant in _ABLATION_ORDER:
-            run_cfg = RunConfig.from_dict({**base, "variant": variant})
-            _, result = run_training(run_cfg, quiet=True)
-            rows[variant] = (result.best_val_cir, result.test_cir)
-            _progress(f"{variant}: test_cir {result.test_cir:.2f}")
     lines = ["variant,best_val_cir,test_cir"]
     lines += [f"{v},{rows[v][0]:.6f},{rows[v][1]:.6f}" for v in _ABLATION_ORDER]
     (out / "ablation.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -238,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--out", default=None, help="override config out_dir")
-    p.add_argument("--parallel", action="store_true",
-                   help="train variants in worker processes (CSAFM_THREADS caps)")
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("verify", help="run the built-in oracle/gradient checks")

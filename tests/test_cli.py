@@ -1,12 +1,13 @@
 """End-to-end command behavior through main(), in process."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 from csafm import FpvCsafmModel, FusionVariant, Rng, UnimodalClassifier, save
-from csafm.cli import _ABLATION_ORDER, main
+from csafm.cli import _ABLATION_ORDER, _BLAS_VARS, _blas_pinned_pool, _worker_cap, main
 from csafm.verify import CHECKS
 
 
@@ -204,18 +205,56 @@ class TestAblate:
 
     def test_parallel_matches_sequential(self, tmp_path, config_file, capsys,
                                          monkeypatch):
-        monkeypatch.setenv("CSAFM_THREADS", "4")
+        """One worker and four write the same table, and a worker's run is the
+        one `csafm train` makes in process."""
         path, _ = config_file(epochs=1)
-        seq, par = tmp_path / "seq", tmp_path / "par"
-        rc, _, _ = run_cli(capsys, "ablate", "--config", str(path),
-                           "--out", str(seq))
+        for threads in ("1", "4"):
+            monkeypatch.setenv("CSAFM_THREADS", threads)
+            rc, _, _ = run_cli(capsys, "ablate", "--config", str(path),
+                               "--out", str(tmp_path / f"w{threads}"))
+            assert rc == 0
+        table = (tmp_path / "w1" / "ablation.csv").read_bytes()
+        assert table == (tmp_path / "w4" / "ablation.csv").read_bytes()
+        rc, _, _ = run_cli(capsys, "train", "--config", str(path),
+                           "--out", str(tmp_path / "train"))
         assert rc == 0
-        rc, _, _ = run_cli(capsys, "ablate", "--config", str(path),
-                           "--out", str(par), "--parallel")
-        assert rc == 0
-        assert (seq / "ablation.csv").read_bytes() == (par / "ablation.csv").read_bytes()
+        summary = json.loads((tmp_path / "train" / "summary.json").read_text())
+        assert table.decode().splitlines()[1] == (
+            f"CSAFM,{summary['best_val_cir']:.6f},{summary['test_cir']:.6f}")
         # worker runs leave their artifacts behind for inspection
-        assert (par / "variants" / "CSAFM" / "summary.json").exists()
+        worker = tmp_path / "w1" / "variants" / "CSAFM" / "weights.csafm"
+        assert worker.read_bytes() == (tmp_path / "train" / "weights.csafm").read_bytes()
+
+    def test_workers_run_blas_at_one_thread(self, monkeypatch):
+        for var in _BLAS_VARS:
+            monkeypatch.delenv(var, raising=False)
+        with _blas_pinned_pool(1) as pool:
+            assert list(pool.map(os.getenv, _BLAS_VARS)) == ["1", "1", "1"]
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        with _blas_pinned_pool(1) as pool:
+            assert list(pool.map(os.getenv, _BLAS_VARS)) == ["2", "1", "1"]
+
+    def test_environment_restored(self, tmp_path, config_file, pgm_tree, capsys,
+                                  monkeypatch):
+        monkeypatch.setenv("CSAFM_THREADS", "2")
+        for var in _BLAS_VARS:
+            monkeypatch.delenv(var, raising=False)
+        before = dict(os.environ)
+        path, _ = config_file(epochs=1)
+        rc, _, _ = run_cli(capsys, "ablate", "--config", str(path),
+                           "--out", str(tmp_path / "ok"))
+        assert rc == 0 and dict(os.environ) == before
+        path, _ = config_file(dataset=str(pgm_tree({0: 10, 1: 20, 2: 20, 3: 20})))
+        rc, _, err = run_cli(capsys, "ablate", "--config", str(path),
+                             "--out", str(tmp_path / "bad"))
+        assert rc == 2
+        assert "variant CSAFM failed" in err and "per-class counts differ" in err
+        assert dict(os.environ) == before
+
+    def test_worker_cap_counts_usable_cpus(self, monkeypatch):
+        monkeypatch.delenv("CSAFM_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _worker_cap() == 1
 
     def test_thread_cap_validation(self, tmp_path, config_file, capsys,
                                    monkeypatch):
@@ -223,7 +262,7 @@ class TestAblate:
         for bad in ("zero", "0"):
             monkeypatch.setenv("CSAFM_THREADS", bad)
             rc, _, err = run_cli(capsys, "ablate", "--config", str(path),
-                                 "--out", str(tmp_path / "x"), "--parallel")
+                                 "--out", str(tmp_path / "x"))
             assert rc == 2
             assert "CSAFM_THREADS" in err
 
