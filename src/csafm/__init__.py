@@ -27,8 +27,6 @@ from .tensor import (
     no_grad,
     one_minus,
     rng_fill,
-    tensor_from_blob,
-    tensor_to_blob,
 )
 from .ops import (
     BnParams,

@@ -173,7 +173,7 @@ def cmd_ablate(args) -> int:
                 summary = run.result()
             except CsafmError as e:
                 pool.shutdown(cancel_futures=True)
-                raise ConfigError(f"variant {variant} failed: {e}") from None
+                raise type(e)(f"variant {variant} failed: {e}") from None
             rows[variant] = (summary["best_val_cir"], summary["test_cir"])
             _progress(f"{variant}: test_cir {summary['test_cir']:.2f}")
     lines = ["variant,best_val_cir,test_cir"]

@@ -40,10 +40,11 @@ from .errors import (
 )
 from .fusion import FusionState, FusionVariant, ablation_fuse, standardize
 from .ops import StateTree, flatten, fully_connected, he_fc
-from .tensor import Rng, Tensor, tensor_from_blob, tensor_to_blob
+from .tensor import Rng, Tensor
 
 MAGIC = b"CSAF"
 VERSION = 1
+_DIMS = struct.Struct("<4I")  # a blob's dims; its float32 data follows
 
 
 def _head(d_in: int, classes: int, rng: Rng, dtype) -> tuple[Tensor, Tensor]:
@@ -236,34 +237,35 @@ def _field(meta: dict, key: str, want: str):
     return meta[key]
 
 
+# kind -> (builder, {meta key: JSON type}); the keys are the builder's keyword arguments
+_KINDS = {
+    "fused": (FpvCsafmModel, {
+        "classes": "int", "fp_size": "size", "fv_size": "size", "variant": "str",
+        "r1": "int", "r2": "int", "width_multiplier": "number", "literal_double_mul": "bool",
+    }),
+    "unimodal": (UnimodalClassifier, {
+        "classes": "int", "image_size": "size", "modality": "str", "width_multiplier": "number",
+    }),
+}
+
+
 def _meta_args(meta) -> tuple[str, dict]:
     """(kind, keyword arguments of that kind's build) read from a header meta."""
     if not isinstance(meta, dict):
         raise WeightFileStructureError(
             f"header meta is a {type(meta).__name__}, not an object")
     kind = meta.get("kind")
-    if kind == "fused":
-        return kind, dict(
-            classes=_field(meta, "classes", "int"),
-            fp_size=tuple(_field(meta, "fp_size", "size")),
-            fv_size=tuple(_field(meta, "fv_size", "size")),
-            variant=FusionVariant.from_tag(_field(meta, "variant", "str")),
-            r1=_field(meta, "r1", "int"),
-            r2=_field(meta, "r2", "int"),
-            width_multiplier=_field(meta, "width_multiplier", "number"),
-            literal_double_mul=_field(meta, "literal_double_mul", "bool"),
-        )
-    if kind == "unimodal":
-        return kind, dict(
-            classes=_field(meta, "classes", "int"),
-            image_size=tuple(_field(meta, "image_size", "size")),
-            modality=_field(meta, "modality", "str"),
-            width_multiplier=_field(meta, "width_multiplier", "number"),
-        )
-    raise WeightFileStructureError(f"unknown model kind {kind!r} in header")
-
-
-_BUILDERS = {"fused": FpvCsafmModel, "unimodal": UnimodalClassifier}
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise WeightFileStructureError(f"unknown model kind {kind!r} in header")
+    args = {}
+    for key, want in _KINDS[kind][1].items():
+        v = _field(meta, key, want)
+        if want == "size":
+            v = tuple(v)
+        elif key == "variant":
+            v = FusionVariant.from_tag(v)
+        args[key] = v
+    return kind, args
 
 
 def _meta_nbytes(kind: str, args: dict) -> int:
@@ -277,29 +279,35 @@ def _meta_nbytes(kind: str, args: dict) -> int:
         sizes = BackboneState.tensor_sizes(wm)
         d = UnimodalClassifier.head_width(args["image_size"], wm)
     sizes += [args["classes"] * d, args["classes"]]  # head weight and bias
-    return sum(16 + 4 * n for n in sizes)
+    return sum(_DIMS.size + 4 * n for n in sizes)
 
 
-def _check_blob_layout(buf: bytes, offset: int, declared: list, path) -> None:
-    """Check that the declared tensors, read against each blob's stored dims,
-    fill buf from offset to its end exactly. Only reads dims; allocates nothing."""
+def _read_blobs(buf: bytes, offset: int, declared: list, path) -> list[np.ndarray]:
+    """Each declared tensor's blob, from offset on, as a read-only float32 view
+    of buf shaped by its stored dims. The dims must match the header entry, and
+    the blobs must fill buf to its end exactly. Copies no tensor data."""
+    blobs = []
     for decl in declared:
         if (not isinstance(decl, dict) or not {"name", "dims", "kind"} <= set(decl)
                 or not isinstance(decl["dims"], list) or len(decl["dims"]) != 4
                 or not all(_is_int(d) and d >= 0 for d in decl["dims"])):
             raise WeightFileStructureError(f"{path}: malformed tensor entry {decl!r}")
-        if len(buf) - offset < 16:
+        if len(buf) - offset < _DIMS.size:
             raise WeightFileTruncatedError(f"{path}: file ends before blob {decl['name']!r}")
-        dims = list(struct.unpack_from("<4I", buf, offset))
+        dims = list(_DIMS.unpack_from(buf, offset))
         if dims != decl["dims"]:
             raise WeightFileShapeError(
                 f"{path}: {decl['name']} blob dims {dims}, header says {decl['dims']}")
-        offset += 16 + 4 * math.prod(dims)
-        if offset > len(buf):
+        offset += _DIMS.size
+        count = math.prod(dims)
+        if len(buf) - offset < 4 * count:
             raise WeightFileTruncatedError(f"{path}: file ends inside blob {decl['name']!r}")
+        blobs.append(np.frombuffer(buf, "<f4", count, offset).reshape(dims))
+        offset += 4 * count
     if offset != len(buf):
         raise WeightFileStructureError(
             f"{path}: {len(buf) - offset} unexpected trailing bytes")
+    return blobs
 
 
 def _stored(arr: np.ndarray, kind: str) -> np.ndarray:
@@ -309,6 +317,10 @@ def _stored(arr: np.ndarray, kind: str) -> np.ndarray:
 
 def save(m: AnyModel, path) -> None:
     entries = m.state_entries()
+    # checked before the file is opened, so a refused model leaves no partial file
+    for name, arr, _ in entries:
+        if arr.dtype != np.float32:
+            raise ParameterError(f"only float32 tensors are serialized; {name} is {arr.dtype}")
     header = {
         "meta": m.meta(),
         "tensors": [
@@ -322,7 +334,8 @@ def save(m: AnyModel, path) -> None:
         fh.write(struct.pack("<II", VERSION, len(hbytes)))
         fh.write(hbytes)
         for name, arr, kind in entries:
-            fh.write(tensor_to_blob(Tensor(_stored(arr, kind))))
+            fh.write(_DIMS.pack(*_stored(arr, kind).shape))
+            fh.write(arr.astype("<f4", copy=False).tobytes())
 
 
 def load(path) -> AnyModel:
@@ -350,7 +363,7 @@ def load(path) -> AnyModel:
     if not isinstance(declared, list):
         raise WeightFileStructureError(
             f"{path}: header tensors is a {type(declared).__name__}, not a list")
-    _check_blob_layout(buf, 12 + hlen, declared, path)
+    blobs = _read_blobs(buf, 12 + hlen, declared, path)
     # the meta must imply exactly the bytes the file holds before anything is
     # built, so a forged size in it cannot make the build allocate without bound
     try:
@@ -359,7 +372,7 @@ def load(path) -> AnyModel:
         if implied != held:
             raise WeightFileStructureError(
                 f"{path}: header meta implies {implied} tensor bytes, file holds {held}")
-        model = _BUILDERS[kind].build(rng=Rng(0), **args)
+        model = _KINDS[kind][0].build(rng=Rng(0), **args)
     except (ConfigError, DimensionError, ParameterError) as e:
         raise WeightFileStructureError(f"{path}: header meta describes no model: {e}") from None
     entries = model.state_entries()
@@ -368,8 +381,7 @@ def load(path) -> AnyModel:
             f"{path}: header declares {len(declared)} tensors, model has {len(entries)}"
         )
 
-    offset = 12 + hlen
-    for decl, (name, arr, kind) in zip(declared, entries):
+    for decl, blob, (name, arr, kind) in zip(declared, blobs, entries):
         if decl["name"] != name or decl["kind"] != kind:
             raise WeightFileStructureError(
                 f"{path}: tensor entry {decl['name']!r}/{decl['kind']!r} where "
@@ -380,12 +392,11 @@ def load(path) -> AnyModel:
             raise WeightFileShapeError(
                 f"{path}: {name} declared dims {decl['dims']}, expected {want}"
             )
-        t, offset = tensor_from_blob(buf, offset)  # blob dims == decl dims, checked above
         # a NaN weight does not fail later: relu turns its channel into zeros
         # and predict returns finite logits, so it is rejected here
-        if not np.isfinite(t.data).all():
+        if not np.isfinite(blob).all():
             raise WeightFileValueError(f"{path}: {name} holds NaN or infinite values")
-        if name.endswith(".running_var") and (t.data < 0).any():
+        if name.endswith(".running_var") and (blob < 0).any():
             raise WeightFileValueError(f"{path}: {name} has a negative variance")
-        arr[...] = t.data.reshape(arr.shape)
+        arr[...] = blob.reshape(arr.shape)  # a copy: the model owns its arrays
     return model

@@ -8,17 +8,12 @@ precision used only by the finite-difference gradient checker.
 from __future__ import annotations
 
 import math
-import struct
 from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    ParameterError,
-    WeightFileTruncatedError,
-)
+from .errors import DimensionError, ParameterError
 
 Dims = tuple[int, int, int, int]
 
@@ -158,22 +153,11 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
 
-        _accumulate(self, seed)
+        accumulate_grad(self, seed)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 g, node.grad = node.grad, None
                 node._backward(g)
-
-
-def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
-    if not t.requires_grad:
-        return
-    if t.grad is not None:
-        t.grad += g
-    elif fresh and g.shape == t.data.shape and g.dtype == t.data.dtype:
-        t.grad = g
-    else:
-        t.grad = np.array(np.broadcast_to(g, t.data.shape), dtype=t.data.dtype)
 
 
 def make_node(
@@ -200,7 +184,14 @@ def accumulate_grad(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
     than one tensor, as ewise_add's does: a later += into one grad would
     write into the other.
     """
-    _accumulate(t, g, fresh)
+    if not t.requires_grad:
+        return
+    if t.grad is not None:
+        t.grad += g
+    elif fresh and g.shape == t.data.shape and g.dtype == t.data.dtype:
+        t.grad = g
+    else:
+        t.grad = np.array(np.broadcast_to(g, t.data.shape), dtype=t.data.dtype)
 
 
 # -- elementwise arithmetic ------------------------------------------------
@@ -212,8 +203,8 @@ def ewise_add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def bw(g: np.ndarray) -> None:
-        _accumulate(a, g)
-        _accumulate(b, g)
+        accumulate_grad(a, g)
+        accumulate_grad(b, g)
 
     return make_node(out, (a, b), bw)
 
@@ -236,11 +227,11 @@ def ewise_mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
     def bw(g: np.ndarray) -> None:
-        _accumulate(a, g * b.data, fresh=True)
+        accumulate_grad(a, g * b.data, fresh=True)
         if broadcast:
-            _accumulate(b, (g * a.data).sum(axis=(2, 3), keepdims=True), fresh=True)
+            accumulate_grad(b, (g * a.data).sum(axis=(2, 3), keepdims=True), fresh=True)
         else:
-            _accumulate(b, g * a.data, fresh=True)
+            accumulate_grad(b, g * a.data, fresh=True)
 
     return make_node(out, (a, b), bw)
 
@@ -251,7 +242,7 @@ def one_minus(a: Tensor) -> Tensor:
     out = dt.type(1.0) - a.data
 
     def bw(g: np.ndarray) -> None:
-        _accumulate(a, -g, fresh=True)
+        accumulate_grad(a, -g, fresh=True)
 
     return make_node(out, (a,), bw)
 
@@ -364,31 +355,3 @@ def rng_fill(t: Tensor, dist: tuple, rng: Rng) -> Tensor:
     t.data[...] = vals.astype(t.data.dtype).reshape(t.dims)
     return t
 
-
-# -- binary blob format ------------------------------------------------------
-# dims as four little-endian u32, then n*c*h*w little-endian f32 values.
-
-def tensor_to_blob(t: Tensor) -> bytes:
-    if t.data.dtype != np.float32:
-        raise ParameterError("only float32 tensors are serialized")
-    return struct.pack("<4I", *t.dims) + t.data.astype("<f4", copy=False).tobytes()
-
-
-def tensor_from_blob(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
-    """Read one tensor blob; returns (tensor, offset past the blob)."""
-    if len(buf) - offset < 16:
-        raise WeightFileTruncatedError(
-            f"blob header needs 16 bytes at offset {offset}, {len(buf) - offset} left"
-        )
-    dims = struct.unpack_from("<4I", buf, offset)
-    offset += 16
-    count = dims[0] * dims[1] * dims[2] * dims[3]
-    nbytes = 4 * count
-    if len(buf) - offset < nbytes:
-        raise WeightFileTruncatedError(
-            f"blob data needs {nbytes} bytes at offset {offset}, "
-            f"{len(buf) - offset} left"
-        )
-    data = np.frombuffer(buf, dtype="<f4", count=count, offset=offset)
-    offset += nbytes
-    return Tensor(data.reshape(dims).astype(np.float32)), offset

@@ -6,8 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from csafm import FpvCsafmModel, FusionVariant, Rng, UnimodalClassifier, save
-from csafm.cli import _ABLATION_ORDER, _BLAS_VARS, _blas_pinned_pool, _worker_cap, main
+from csafm import DataError, FpvCsafmModel, FusionVariant, Rng, UnimodalClassifier, save
+from csafm.cli import (
+    _ABLATION_ORDER, _BLAS_VARS, _blas_pinned_pool, _worker_cap, build_parser, cmd_ablate, main,
+)
 from csafm.verify import CHECKS
 
 
@@ -250,6 +252,18 @@ class TestAblate:
         assert rc == 2
         assert "variant CSAFM failed" in err and "per-class counts differ" in err
         assert dict(os.environ) == before
+
+    def test_worker_error_keeps_its_class(self, tmp_path, config_file, pgm_tree,
+                                          monkeypatch):
+        """A worker's DataError reaches the caller as a DataError, not as a
+        config error."""
+        monkeypatch.setenv("CSAFM_THREADS", "2")
+        path, _ = config_file(dataset=str(pgm_tree({0: 10, 1: 20, 2: 20, 3: 20})))
+        args = build_parser().parse_args(
+            ["ablate", "--config", str(path), "--out", str(tmp_path / "bad")])
+        with pytest.raises(DataError, match="variant CSAFM failed") as info:
+            cmd_ablate(args)
+        assert "per-class counts differ" in str(info.value)
 
     def test_worker_cap_counts_usable_cpus(self, monkeypatch):
         monkeypatch.delenv("CSAFM_THREADS", raising=False)

@@ -10,6 +10,7 @@ from csafm import (
     DimensionError,
     FpvCsafmModel,
     FusionVariant,
+    ParameterError,
     Rng,
     Tensor,
     UnimodalClassifier,
@@ -295,6 +296,27 @@ class TestSerialization:
         save(m, path)
         with pytest.raises(WeightFileValueError, match=name):
             load(path)
+
+
+    @pytest.mark.parametrize("kind", ["fused", "unimodal"])
+    def test_loaded_arrays_are_writeable(self, tmp_path, kind):
+        """load copies each blob into the model's own arrays; a read-only
+        view of the file buffer would break Adam's in-place update."""
+        m = small_fused() if kind == "fused" else UnimodalClassifier.build(
+            classes=4, image_size=(20, 28), modality="fv", rng=Rng(3),
+            width_multiplier=0.125)
+        path = tmp_path / "w.csafm"
+        save(m, path)
+        entries = load(path).state_entries()
+        assert entries
+        for name, arr, _ in entries:
+            assert arr.flags.writeable, name
+
+    def test_float64_model_leaves_no_file(self, tmp_path):
+        path = tmp_path / "w.csafm"
+        with pytest.raises(ParameterError, match="float32"):
+            save(small_fused(dtype=np.float64), path)
+        assert not path.exists()
 
 
 def _set(key, value):

@@ -12,7 +12,6 @@ from csafm import (
     center_crop,
     concat_channels,
     conv2d,
-    WeightFileTruncatedError,
     derive_seed,
     ewise_add,
     ewise_mul,
@@ -28,8 +27,6 @@ from csafm import (
     rng_fill,
     sigmoid,
     softmax_xent,
-    tensor_from_blob,
-    tensor_to_blob,
     unflatten,
 )
 from csafm.ops import he_fc
@@ -308,29 +305,3 @@ class TestRng:
         rng_fill(u, ("uniform", 0.0, 1.0), Rng(13))
         assert 0.0 <= u.data.min() and u.data.max() < 1.0
 
-
-class TestBlobs:
-    def test_round_trip_bitwise(self):
-        t = Tensor(np.random.default_rng(0).normal(size=(2, 3, 4, 5)).astype(np.float32))
-        blob = tensor_to_blob(t)
-        back, used = tensor_from_blob(blob)
-        assert used == len(blob)
-        assert back.dims == t.dims
-        assert np.array_equal(back.data, t.data)
-
-    def test_truncated_blob_rejected(self):
-        blob = tensor_to_blob(Tensor.zeros((1, 2, 3, 4)))
-        with pytest.raises(WeightFileTruncatedError):
-            tensor_from_blob(blob[:-3])
-        with pytest.raises(WeightFileTruncatedError):
-            tensor_from_blob(blob[:10])
-
-    def test_offset_reads_consecutive_blobs(self):
-        a = Tensor.full((1, 1, 1, 2), 1.5)
-        b = Tensor.full((1, 1, 2, 1), -2.0)
-        buf = tensor_to_blob(a) + tensor_to_blob(b)
-        t1, off = tensor_from_blob(buf)
-        t2, off = tensor_from_blob(buf, off)
-        assert off == len(buf)
-        assert np.array_equal(t1.data, a.data)
-        assert np.array_equal(t2.data, b.data)
