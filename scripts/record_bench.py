@@ -4,8 +4,10 @@
 
 The base revision's committed files are exported with `git archive` into a
 fresh directory under --workdir; the change is this checkout as it stands,
-uncommitted edits and new files included. So with a change committed,
---base HEAD~1 names its parent. For each workload in BENCHMARK.json it runs
+uncommitted edits and new files included, copied into another. Both sides
+run from fresh directories because the directory a run starts in moves
+`fusion_paper` peak_rss_mb by a few MiB with the same code. So with a
+change committed, --base HEAD~1 names its parent. For each workload in BENCHMARK.json it runs
 `perfbench/run.py` for BENCHMARK.json's run_seconds, in 10 pairs of base and
 change at --trace 0, then 2 pairs at --trace 1. Pair i uses seed i (from 1),
 and the side that runs first alternates from pair to pair. A run that exits
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -52,6 +55,17 @@ def export_base(rev: str, workdir: Path) -> Path:
     dest = Path(tempfile.mkdtemp(prefix="base-", dir=workdir))
     with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
         tf.extractall(dest)
+    return dest
+
+
+def export_change(workdir: Path) -> Path:
+    """The files of this checkout that git tracks or would add, as they stand,
+    in a new directory under workdir; tracked files deleted here are left out."""
+    dest = Path(tempfile.mkdtemp(prefix="change-", dir=workdir))
+    for rel in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
+        if rel and (ROOT / rel).is_file():
+            (dest / rel).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / rel, dest / rel)
     return dest
 
 
@@ -100,7 +114,7 @@ def main(argv=None) -> int:
     ap.add_argument("--base", required=True, help="revision to compare against")
     ap.add_argument("--out", required=True, type=Path)
     ap.add_argument("--workdir", required=True, type=Path,
-                    help="directory for the base revision's export")
+                    help="directory for the exports of both sides")
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -108,7 +122,7 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in spec["workloads"]]
     better = {m["name"]: (m["better"], m["unit"]) for m in spec["end_to_end"] + spec["per_layer"]}
     args.workdir.mkdir(parents=True, exist_ok=True)
-    sides = {"base": export_base(args.base, args.workdir), "change": ROOT}
+    sides = {"base": export_base(args.base, args.workdir), "change": export_change(args.workdir)}
     # edited tracked files and new files git does not ignore, as the runs found them
     dirty = git("status", "--porcelain") != ""
 

@@ -17,6 +17,7 @@ orders part (tests/test_ops.py, TestPoolReluOrder).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,9 @@ def scaled_channels(width_multiplier: float = 1.0) -> tuple[int, ...]:
     """Channel counts after the test-only width multiplier (min 1 each)."""
     if not width_multiplier > 0:
         raise ConfigError(f"width_multiplier must be positive, got {width_multiplier}")
+    if not math.isfinite(max(BASE_CHANNELS) * width_multiplier):
+        # round() would raise OverflowError on the infinite product
+        raise ConfigError(f"width_multiplier {width_multiplier} overflows the channel counts")
     return tuple(max(1, round(c * width_multiplier)) for c in BASE_CHANNELS)
 
 
@@ -79,16 +83,6 @@ class BackboneState(StateTree):
             bns.append(BnParams.init(ch[i], dtype=dtype))
             in_c = ch[i]
         return cls(convs=convs, bns=bns)
-
-    @staticmethod
-    def tensor_sizes(width_multiplier: float = 1.0) -> list[int]:
-        """Element counts of the saved tensors of init()'s five stages, without allocating them."""
-        out: list[int] = []
-        in_c = 1
-        for c, k in zip(scaled_channels(width_multiplier), KERNELS):
-            out += [c * in_c * k * k, c] + [c] * 4  # conv weight and bias, then bn's four tensors
-            in_c = c
-        return out
 
     def named(self):
         for i, (cv, bn) in enumerate(zip(self.convs, self.bns), 1):

@@ -162,11 +162,11 @@ def cmd_ablate(args) -> int:
     workers = min(len(_ABLATION_ORDER), _worker_cap())
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    base = {**cfg.to_dict(), "modality": "fused"}
     rows: dict[str, tuple[float, float]] = {}
     with _blas_pinned_pool(workers) as pool:
-        runs = {v: pool.submit(train_and_write, RunConfig.from_dict(
-                    {**base, "variant": v, "out_dir": str(out / "variants" / v)}), True)
+        runs = {v: pool.submit(train_and_write, replace(
+                    cfg, modality="fused", variant=FusionVariant[v],
+                    out_dir=str(out / "variants" / v)), True)
                 for v in _ABLATION_ORDER}
         for variant, run in runs.items():
             try:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -112,16 +112,6 @@ class RunConfig:
                 raise ConfigError(f"split must be a list of three fractions, got {s!r}")
             kw["split"] = tuple(float(x) for x in s)
         return cls(**kw)
-
-    def to_dict(self) -> dict:
-        out = {k: getattr(self, k) for k in _SCALARS}
-        out.update(variant=self.variant.name, split=list(self.split))
-        if self.dataset_path is not None:
-            out["dataset"] = {"path": self.dataset_path}
-        else:
-            out["dataset"] = {"synth": {k: list(v) if isinstance(v, tuple) else v
-                                        for k, v in asdict(self.synth).items()}}
-        return out
 
 
 def load_json(path) -> dict:

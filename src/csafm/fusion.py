@@ -151,20 +151,6 @@ class FusionState(StateTree):
         return cls(variant=variant, channel=ch, spatial=sp,
                    literal_double_mul=literal_double_mul)
 
-    @staticmethod
-    def tensor_sizes(variant: FusionVariant, c: int, r1: int, r2: int) -> list[int]:
-        """Element counts of the saved tensors init() makes, without allocating them."""
-        out: list[int] = []
-        if "C" in _gates(variant):
-            m = bottleneck(c, r1)
-            out += [m * c, m, c * m, c]  # pw1 and pw2 weight and bias
-        if "S" in _gates(variant):
-            m = bottleneck(c, r2)
-            kk = SPATIAL_K * SPATIAL_K
-            # conv1 weight and bias, bn1's four tensors, then conv2 and bn2 likewise
-            out += [m * c * kk, m] + [m] * 4 + [c * m * kk, c] + [c] * 4
-        return out
-
     def named(self):
         if self.channel is not None:
             yield from self.channel.named_under("channel")

@@ -12,8 +12,13 @@ Weight file layout, exact to the byte:
             row-major little-endian float32 data
 
 Running statistics are stored as (1,c,1,1) blobs. load() rebuilds the
-model from "meta", then fills every tensor in header order, so a round
-trip is bitwise exact.
+model from "meta" through the same build and init code as training, with
+zeros for every He draw, and the draws together may not pass the float32
+values the blobs hold: a meta that implies more raises
+WeightFileStructureError before the build allocates it. It then fills
+every tensor in header order, so a round trip is bitwise exact; a meta
+that implies fewer values than the file holds fails that walk, as a
+WeightFileStructureError or WeightFileShapeError.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Union
 
 import numpy as np
 
-from .backbone import BackboneState, backbone_features, feature_shape, scaled_channels
+from .backbone import BackboneState, backbone_features, feature_shape
 from .errors import (
     ConfigError,
     DimensionError,
@@ -81,15 +86,6 @@ class FpvCsafmModel(StateTree):
     r2: int
     width_multiplier: float
 
-    @staticmethod
-    def head_width(fp_size: tuple[int, int], fv_size: tuple[int, int],
-                   variant: FusionVariant, width_multiplier: float) -> int:
-        """Features the head reads: the fused map, cropped to the smaller branch, flattened."""
-        c, h1, w1 = feature_shape(*fp_size, width_multiplier)
-        _, h2, w2 = feature_shape(*fv_size, width_multiplier)
-        head_c = 2 * c if variant is FusionVariant.PARALLEL_CONCAT else c
-        return head_c * min(h1, h2) * min(w1, w2)
-
     @classmethod
     def build(
         cls,
@@ -104,12 +100,16 @@ class FpvCsafmModel(StateTree):
         literal_double_mul: bool = False,
         dtype=np.float32,
     ) -> "FpvCsafmModel":
-        # spawn() leaves rng untouched, so the order of the parts is free
-        head_w, head_b = _head(cls.head_width(fp_size, fv_size, variant, width_multiplier),
-                               classes, rng.spawn("head"), dtype)
-        fusion = FusionState.init(variant, scaled_channels(width_multiplier)[-1], r1, r2,
-                                  rng.spawn("fusion"), literal_double_mul=literal_double_mul,
-                                  dtype=dtype)
+        # spawn() leaves rng untouched, so the order of the parts moves no draw;
+        # the head (the fused map, cropped to the smaller branch, flattened)
+        # comes first because load's draw budget relies on it (_ZeroDraws)
+        c, h1, w1 = feature_shape(*fp_size, width_multiplier)
+        _, h2, w2 = feature_shape(*fv_size, width_multiplier)
+        head_c = 2 * c if variant is FusionVariant.PARALLEL_CONCAT else c
+        head_w, head_b = _head(head_c * min(h1, h2) * min(w1, w2), classes,
+                               rng.spawn("head"), dtype)
+        fusion = FusionState.init(variant, c, r1, r2, rng.spawn("fusion"),
+                                  literal_double_mul=literal_double_mul, dtype=dtype)
         return cls(fp_backbone=BackboneState.init(rng.spawn("fp"), width_multiplier, dtype=dtype),
                    fv_backbone=BackboneState.init(rng.spawn("fv"), width_multiplier, dtype=dtype),
                    fusion=fusion, head_w=head_w, head_b=head_b, classes=classes,
@@ -163,11 +163,6 @@ class UnimodalClassifier(StateTree):
     modality: str
     width_multiplier: float
 
-    @staticmethod
-    def head_width(image_size: tuple[int, int], width_multiplier: float) -> int:
-        """Features the head reads: the backbone map, flattened."""
-        return math.prod(feature_shape(*image_size, width_multiplier))
-
     @classmethod
     def build(
         cls,
@@ -181,7 +176,8 @@ class UnimodalClassifier(StateTree):
         if modality not in ("fp", "fv"):
             raise ConfigError(f"modality must be 'fp' or 'fv', got {modality!r}")
         rng = rng.spawn(modality)
-        head_w, head_b = _head(cls.head_width(image_size, width_multiplier),
+        # the head first, as in FpvCsafmModel.build
+        head_w, head_b = _head(math.prod(feature_shape(*image_size, width_multiplier)),
                                classes, rng.spawn("head"), dtype)
         return cls(backbone=BackboneState.init(rng, width_multiplier, dtype=dtype),
                    head_w=head_w, head_b=head_b, classes=classes,
@@ -268,18 +264,28 @@ def _meta_args(meta) -> tuple[str, dict]:
     return kind, args
 
 
-def _meta_nbytes(kind: str, args: dict) -> int:
-    """Bytes of tensor blobs a model built from _meta_args would save, in closed form."""
-    wm = args["width_multiplier"]
-    if kind == "fused":
-        sizes = BackboneState.tensor_sizes(wm) * 2 + FusionState.tensor_sizes(
-            args["variant"], scaled_channels(wm)[-1], args["r1"], args["r2"])
-        d = FpvCsafmModel.head_width(args["fp_size"], args["fv_size"], args["variant"], wm)
-    else:
-        sizes = BackboneState.tensor_sizes(wm)
-        d = UnimodalClassifier.head_width(args["image_size"], wm)
-    sizes += [args["classes"] * d, args["classes"]]  # head weight and bias
-    return sum(_DIMS.size + 4 * n for n in sizes)
+class _ZeroDraws:
+    """The Rng load builds with: every draw is zeros, since the file's values
+    replace them, and the draws together may not pass the float32 values the
+    file holds, so a forged size in the meta cannot make the build allocate
+    without bound. The bound holds because every array larger than a channel
+    count is drawn (conv and FC weights), each array that is not drawn (a bias
+    or a batchnorm vector) is no larger than the draw just before it, and both
+    model kinds draw their head, which the class count and image sizes scale,
+    first."""
+
+    def __init__(self, budget: int, path):
+        self.budget, self.path = budget, path
+
+    def spawn(self, *tags) -> "_ZeroDraws":
+        return self
+
+    def normal(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
+        if n > self.budget:
+            raise WeightFileStructureError(
+                f"{self.path}: header meta implies more than the tensor values the file holds")
+        self.budget -= n
+        return np.zeros(n, np.float32)
 
 
 def _read_blobs(buf: bytes, offset: int, declared: list, path) -> list[np.ndarray]:
@@ -364,15 +370,9 @@ def load(path) -> AnyModel:
         raise WeightFileStructureError(
             f"{path}: header tensors is a {type(declared).__name__}, not a list")
     blobs = _read_blobs(buf, 12 + hlen, declared, path)
-    # the meta must imply exactly the bytes the file holds before anything is
-    # built, so a forged size in it cannot make the build allocate without bound
     try:
         kind, args = _meta_args(header["meta"])
-        implied, held = _meta_nbytes(kind, args), len(buf) - 12 - hlen
-        if implied != held:
-            raise WeightFileStructureError(
-                f"{path}: header meta implies {implied} tensor bytes, file holds {held}")
-        model = _KINDS[kind][0].build(rng=Rng(0), **args)
+        model = _KINDS[kind][0].build(rng=_ZeroDraws(sum(b.size for b in blobs), path), **args)
     except (ConfigError, DimensionError, ParameterError) as e:
         raise WeightFileStructureError(f"{path}: header meta describes no model: {e}") from None
     entries = model.state_entries()

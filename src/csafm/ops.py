@@ -91,6 +91,10 @@ class ConvParams(StateTree):
         yield "bias", self.bias, "param"
 
 
+BN_MOMENTUM = 0.1  # weight of the batch moments in each running-statistics update
+BN_EPS = 1e-5  # added to the variance before its square root
+
+
 @dataclass
 class BnParams(StateTree):
     """Batch-norm state: learnable gamma/beta plus running statistics.
@@ -103,8 +107,6 @@ class BnParams(StateTree):
     beta: Tensor
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
 
     def __post_init__(self):
         c = self.gamma.dims[1]
@@ -112,24 +114,18 @@ class BnParams(StateTree):
             raise DimensionError("gamma/beta channel counts differ")
         if self.running_mean.shape != (c,) or self.running_var.shape != (c,):
             raise DimensionError("running stats must be per-channel vectors")
-        if not (0.0 < self.momentum < 1.0):
-            raise ParameterError(f"momentum must lie in (0,1), got {self.momentum}")
-        if self.eps <= 0.0:
-            raise ParameterError(f"eps must be positive, got {self.eps}")
 
     @property
     def channels(self) -> int:
         return self.gamma.dims[1]
 
     @classmethod
-    def init(cls, c: int, dtype=np.float32, momentum: float = 0.1, eps: float = 1e-5) -> "BnParams":
+    def init(cls, c: int, dtype=np.float32) -> "BnParams":
         return cls(
             gamma=Tensor(np.ones((1, c, 1, 1), dtype=dtype), requires_grad=True),
             beta=Tensor(np.zeros((1, c, 1, 1), dtype=dtype), requires_grad=True),
             running_mean=np.zeros(c, dtype=dtype),
             running_var=np.ones(c, dtype=dtype),
-            momentum=momentum,
-            eps=eps,
         )
 
     def named(self):
@@ -419,7 +415,7 @@ def batchnorm(x: Tensor, p: BnParams, mode: str) -> Tensor:
     if c != p.channels:
         raise DimensionError(f"batchnorm input has {c} channels, params expect {p.channels}")
     dt = x.data.dtype
-    eps = dt.type(p.eps)
+    eps = dt.type(BN_EPS)
     axes = (0, 2, 3)
     m = n * h * w
 
@@ -432,7 +428,7 @@ def batchnorm(x: Tensor, p: BnParams, mode: str) -> Tensor:
         inv_std = 1.0 / np.sqrt(var + eps)
         xhat *= inv_std
 
-        mom = dt.type(p.momentum)
+        mom = dt.type(BN_MOMENTUM)
         p.running_mean *= 1 - mom
         p.running_mean += mom * mu.reshape(c)
         p.running_var *= 1 - mom

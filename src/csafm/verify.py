@@ -136,7 +136,7 @@ def check_batchnorm_eval_affine() -> None:
     got = ops.batchnorm(x, p, "eval").data
     rm = p.running_mean.reshape(1, 3, 1, 1)
     rv = p.running_var.reshape(1, 3, 1, 1)
-    want = p.gamma.data * (x.data - rm) / np.sqrt(rv + np.float32(p.eps)) + p.beta.data
+    want = p.gamma.data * (x.data - rm) / np.sqrt(rv + np.float32(ops.BN_EPS)) + p.beta.data
     err = float(np.abs(got - want).max())
     assert err <= 1e-6, f"eval batchnorm deviates from affine oracle by {err}"
 

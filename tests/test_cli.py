@@ -109,6 +109,13 @@ class TestTrain:
         assert rc == 2
         assert err.startswith("error:")
 
+    def test_overflowing_width_multiplier_exits_2(self, config_file, capsys):
+        # 512 * 1e308 is infinite, so round() of the channel count would overflow
+        path, _ = config_file(width_multiplier=1e308)
+        rc, _, err = run_cli(capsys, "train", "--config", str(path))
+        assert rc == 2
+        assert "overflows" in err
+
 
 class TestEval:
     def test_matches_training_summary(self, config_file, capsys):

@@ -111,21 +111,6 @@ class TestFromDict:
         with pytest.raises(ConfigError, match="JSON object"):
             RunConfig.from_dict([1, 2])
 
-    def test_round_trip_through_to_dict(self):
-        cfg = RunConfig.from_dict({
-            "seed": 9, "variant": "PARALLEL_CS", "modality": "fp",
-            "r1": 8, "r2": 4, "lr": 0.01, "batch": 16, "epochs": 3,
-            "split": [0.5, 0.2, 0.3], "width_multiplier": 0.25,
-            "literal_double_mul": True, "out_dir": "o",
-            "dataset": {"synth": {"grid": [2, 3], "noise_sigma": 0.05}},
-        })
-        again = RunConfig.from_dict(cfg.to_dict())
-        assert again == cfg
-
-    def test_path_dataset_round_trip(self):
-        cfg = RunConfig.from_dict({"dataset": "x/y"})
-        assert RunConfig.from_dict(cfg.to_dict()) == cfg
-
 
 class TestLoadJson:
     def test_happy_path(self, tmp_path):

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import re
+import resource
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -394,24 +398,46 @@ def gate_fused():
 
 class TestHeaderSizeBound:
     # the head is sized by the smaller of the two feature maps, so only a
-    # forge of both image sizes changes the bytes the meta implies
+    # forge of both image sizes inflates it
     @pytest.mark.parametrize("edit", [
         _set("width_multiplier", 64),
         lambda h: h["meta"].update(fp_size=[20000, 20000], fv_size=[20000, 20000]),
         _set("classes", 10 ** 7),
-    ], ids=["width_multiplier_64", "sizes_20000", "classes_1e7"])
-    def test_forged_size_rejected_before_build(self, tmp_path, rewrite_header,
-                                               monkeypatch, edit):
+        _set("classes", 200000),
+    ], ids=["width_multiplier_64", "sizes_20000", "classes_1e7", "classes_2e5"])
+    def test_forged_size_rejected_before_build(self, tmp_path, rewrite_header, edit):
+        """A meta that implies more tensor values than the file holds is refused
+        before the build allocates them: load's traced peak stays within twice
+        the file's size."""
         path = tmp_path / "gate.csafm"
         save(gate_fused(), path)
         rewrite_header(path, edit)
+        # a load that did build the forged model meets MemoryError under this
+        # cap on the process's address space, not the machine's memory limit
+        vm = int(re.search(r"VmSize:\s+(\d+) kB", Path("/proc/self/status").read_text())[1])
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        resource.setrlimit(resource.RLIMIT_AS, (vm * 1024 + 256 * 2 ** 20, hard))
+        tracemalloc.start()
+        try:
+            with pytest.raises(WeightFileStructureError, match="implies"):
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        assert peak <= 2 * path.stat().st_size
 
-        def no_build(*args, **kwargs):
-            raise AssertionError("model built from a header that overstates its size")
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        """load builds with zeros in place of He draws, which the file overwrites."""
+        path, again = tmp_path / "w.csafm", tmp_path / "again.csafm"
+        save(small_fused(), path)
 
-        monkeypatch.setattr(FpvCsafmModel, "build", no_build)
-        with pytest.raises(WeightFileStructureError, match="implies"):
-            load(path)
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load drew from an Rng")
+
+        monkeypatch.setattr(Rng, "normal", no_draw)
+        save(load(path), again)
+        assert again.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("variant", list(FusionVariant), ids=lambda v: v.name)
     def test_every_variant_reloads_byte_for_byte(self, tmp_path, variant):
@@ -464,6 +490,7 @@ class TestWeightFileFuzz:
         _set("width_multiplier", 0),
         _set("width_multiplier", float("inf")),
         _set("width_multiplier", float("nan")),
+        _set("width_multiplier", 1e308),
         _set("fp_size", [-64, 96]),
         _set("fv_size", [0, 0]),
         _set("kind", "unimodal"),
@@ -474,7 +501,7 @@ class TestWeightFileFuzz:
         lambda h: h["tensors"][4].update(kind="param"),
         lambda h: h["tensors"].pop(),
     ], ids=["variant_CSAFN", "r1_3", "r2_0", "classes_1", "width_negative",
-            "width_zero", "width_inf", "width_nan", "fp_size_negative",
+            "width_zero", "width_inf", "width_nan", "width_1e308", "fp_size_negative",
             "fv_size_0x0", "kind_unimodal", "dims_negative", "dims_rank3",
             "dims_huge", "name_swapped", "kind_swapped", "tensor_dropped"])
     def test_header_edit_is_a_weight_file_error(self, tmp_path, rewrite_header, edit):
