@@ -71,23 +71,30 @@ def export_change(workdir: Path) -> Path:
 
 PAIRS = 10
 TRACED_PAIRS = 2
+RESULT_FIELDS = ("correct", "attempted", "failed", "metrics")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One perfbench run; its result line and info line, or its error output.
 
-    A run that exits 0 but prints fewer than two lines is recorded with exit -1.
+    A run that exits 0 but whose last two lines are not an info object and a
+    result object with every field read here is recorded with exit -1.
     """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     t0 = time.perf_counter()
     p = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     wall = time.perf_counter() - t0
-    lines = p.stdout.strip().splitlines()
-    if p.returncode != 0 or len(lines) < 2:
+    try:
+        info, result = (json.loads(line) for line in p.stdout.strip().splitlines()[-2:])
+        well_formed = (isinstance(info, dict) and "env" in info and isinstance(result, dict)
+                       and all(k in result for k in RESULT_FIELDS))
+    except ValueError:  # fewer than two lines, or one that is not JSON
+        well_formed = False
+    if p.returncode != 0 or not well_formed:
         return {"exit": p.returncode or -1, "wall_s": wall, "stderr": p.stderr[-2000:]}
-    return {"exit": 0, "wall_s": wall, "info": json.loads(lines[-2]),
-            "result": json.loads(lines[-1]), "stderr": p.stderr[-2000:]}
+    return {"exit": 0, "wall_s": wall, "info": info, "result": result,
+            "stderr": p.stderr[-2000:]}
 
 
 def ok(r: dict) -> bool:

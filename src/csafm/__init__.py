@@ -26,7 +26,6 @@ from .tensor import (
     ewise_mul,
     no_grad,
     one_minus,
-    rng_fill,
 )
 from .ops import (
     BnParams,
@@ -42,7 +41,6 @@ from .ops import (
     relu,
     sigmoid,
     softmax_xent,
-    unflatten,
 )
 from .backbone import (
     BackboneState,

@@ -537,18 +537,6 @@ def flatten(x: Tensor) -> Tensor:
     return make_node(out, (x,), bw)
 
 
-def unflatten(x: Tensor, dims) -> Tensor:
-    """Inverse of flatten back to the given rank-4 dims."""
-    if int(np.prod(dims)) != x.data.size:
-        raise DimensionError(f"cannot unflatten {x.dims} to {tuple(dims)}")
-    out = x.data.reshape(dims)
-
-    def bw(g: np.ndarray) -> None:
-        accumulate_grad(x, g.reshape(x.dims))
-
-    return make_node(out, (x,), bw)
-
-
 def he_fc(d_in: int, d_out: int, rng, dtype=np.float32) -> tuple[Tensor, Tensor]:
     """Fully connected weight (d_out, d_in, 1, 1), He-normal on the fan-in d_in, and a zero bias."""
     std = float(np.sqrt(2.0 / d_in))

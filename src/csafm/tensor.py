@@ -112,13 +112,7 @@ class Tensor:
             raise DimensionError(f"{arr.size} values cannot fill dims {tuple(dims)}")
         return cls(arr.reshape(dims))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     # -- autodiff ----------------------------------------------------------
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self, seed: Optional[np.ndarray] = None) -> None:
         """Backpropagate from this node through the recorded graph.
 
@@ -338,20 +332,4 @@ class Rng:
     def spawn(self, *tags) -> "Rng":
         """Independent child stream keyed by int/str tags; parent state untouched."""
         return Rng(derive_seed(self.seed, *tags))
-
-
-def rng_fill(t: Tensor, dist: tuple, rng: Rng) -> Tensor:
-    """Fill t in place from ("uniform", lo, hi) or ("normal", mu, sigma)."""
-    if not isinstance(dist, (tuple, list)) or len(dist) != 3:
-        raise ParameterError(f"dist must be a (name, p1, p2) triple, got {dist!r}")
-    name, p1, p2 = dist
-    n = t.data.size
-    if name == "uniform":
-        vals = rng.uniform(n, float(p1), float(p2))
-    elif name == "normal":
-        vals = rng.normal(n, float(p1), float(p2))
-    else:
-        raise ParameterError(f"unknown distribution {name!r}")
-    t.data[...] = vals.astype(t.data.dtype).reshape(t.dims)
-    return t
 

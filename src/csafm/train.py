@@ -17,15 +17,16 @@ from .errors import ConfigError, DataError, DimensionError, NumericalError, Para
 from .tensor import Rng, Tensor, no_grad
 from .ops import softmax_xent
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class AdamState:
     """Per-parameter moment estimates keyed by parameter name."""
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -33,8 +34,6 @@ class AdamState:
     def __post_init__(self):
         if self.lr < 0:
             raise ParameterError(f"lr must be >= 0, got {self.lr}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ParameterError("betas must lie in [0, 1)")
 
 
 def adam_step(params: Sequence[tuple[str, Tensor]], st: AdamState) -> None:
@@ -57,7 +56,7 @@ def adam_step(params: Sequence[tuple[str, Tensor]], st: AdamState) -> None:
         if m.shape != p.data.shape:
             raise DimensionError(f"moment shape {m.shape} stale for {name}")
         dt = p.data.dtype.type
-        b1, b2 = dt(st.beta1), dt(st.beta2)
+        b1, b2 = dt(ADAM_BETA1), dt(ADAM_BETA2)
         m *= b1
         m += (1 - b1) * g
         v *= b2
@@ -66,7 +65,7 @@ def adam_step(params: Sequence[tuple[str, Tensor]], st: AdamState) -> None:
         c1 = 1.0 / (1.0 - float(b1) ** t)
         c2 = 1.0 / (1.0 - float(b2) ** t)
         upd = st.lr * (m.astype(np.float64) * c1) / (
-            np.sqrt(v.astype(np.float64) * c2) + st.eps
+            np.sqrt(v.astype(np.float64) * c2) + ADAM_EPS
         )
         p.data -= upd.astype(p.data.dtype)
 
@@ -89,7 +88,6 @@ class SplitPlan:
     train: list
     val: list
     test: list
-    seed: int
 
 
 def make_split(
@@ -123,7 +121,7 @@ def make_split(
         tr.extend(base + i for i in perm[: counts[0]])
         va.extend(base + i for i in perm[counts[0] : counts[0] + counts[1]])
         te.extend(base + i for i in perm[counts[0] + counts[1] :])
-    return SplitPlan(train=tr, val=va, test=te, seed=seed)
+    return SplitPlan(train=tr, val=va, test=te)
 
 
 def batch_tensors(dataset, idxs) -> tuple[Tensor, Tensor, np.ndarray]:

@@ -2,8 +2,10 @@
 
 Each check is a named function that raises AssertionError on failure;
 run_all prints one PASS/FAIL line per check and reports overall success.
-The oracles (csafm.oracles and the closed forms here) are deliberately
-naive and independent of the production kernels they certify.
+CHECKS is the one list of release criteria: `csafm verify` runs it, and
+so does the test suite, one test per entry. The oracles (csafm.oracles
+and the closed forms here) are deliberately naive and independent of the
+production kernels they certify.
 """
 
 from __future__ import annotations
@@ -16,7 +18,21 @@ from typing import Callable
 import numpy as np
 
 from . import ops, oracles
-from .backbone import feature_shape
+from .backbone import (
+    CONV_PADS,
+    CONV_STRIDES,
+    KERNELS,
+    BackboneState,
+    backbone_features,
+    feature_shape,
+    scaled_channels,
+)
+from .errors import (
+    WeightFileError,
+    WeightFileMagicError,
+    WeightFileTruncatedError,
+    WeightFileVersionError,
+)
 from .fusion import (
     ChannelAttnState,
     FusionVariant,
@@ -27,7 +43,7 @@ from .fusion import (
 from .gradcheck import check_gradients
 from .model import FpvCsafmModel, load, save
 from .tensor import Rng, Tensor, ewise_add, ewise_mul
-from .train import AdamState, adam_step
+from .train import AdamState, adam_step, cir
 
 
 def _rand(rng: Rng, dims, dtype=np.float32, requires_grad=False, lo=-1.0, hi=1.0) -> Tensor:
@@ -37,17 +53,13 @@ def _rand(rng: Rng, dims, dtype=np.float32, requires_grad=False, lo=-1.0, hi=1.0
 
 
 def check_conv_forward_oracle() -> None:
-    rng = Rng(101)
-    for t in range(8):
-        geo = rng.spawn(t)
-        n = 1 + int(geo.below(2))
-        ic = 1 + int(geo.below(3))
-        oc = 1 + int(geo.below(3))
-        k = (3, 1, 5)[int(geo.below(3))]
-        stride = 1 + int(geo.below(2))
-        pad = int(geo.below(3))
-        h = k + int(geo.below(5))
-        w = k + int(geo.below(5))
+    rng = Rng(1001)
+    for t in range(100):
+        geo = rng.spawn("conv", t)
+        n, ic, oc = 1 + int(geo.below(2)), 1 + int(geo.below(4)), 1 + int(geo.below(4))
+        k = (1, 3, 5)[int(geo.below(3))]
+        stride, pad = 1 + int(geo.below(2)), int(geo.below(3))
+        h, w = k + int(geo.below(8)), k + int(geo.below(8))
         x = _rand(geo.spawn("x"), (n, ic, h, w))
         wt = _rand(geo.spawn("w"), (oc, ic, k, k))
         b = _rand(geo.spawn("b"), (1, oc, 1, 1))
@@ -58,19 +70,17 @@ def check_conv_forward_oracle() -> None:
 
 
 def check_pool_forward_oracle() -> None:
-    rng = Rng(202)
-    for t in range(8):
-        geo = rng.spawn(t)
-        n, c = 1 + int(geo.below(2)), 1 + int(geo.below(3))
-        k = 2 + int(geo.below(2))
-        stride = 1 + int(geo.below(2))
-        pad = int(geo.below(k))
-        h = k + int(geo.below(5))
-        w = k + int(geo.below(5))
+    rng = Rng(1001)
+    for t in range(100):
+        geo = rng.spawn("pool", t)
+        n, c = 1 + int(geo.below(2)), 1 + int(geo.below(4))
+        k = 2 + int(geo.below(3))
+        stride, pad = 1 + int(geo.below(2)), int(geo.below(k))
+        h, w = k + int(geo.below(8)), k + int(geo.below(8))
         x = _rand(geo.spawn("x"), (n, c, h, w))
         got = ops.maxpool2d(x, k, stride, pad).data
         want = oracles.maxpool_loops(x.data, k, stride, pad)
-        assert (got == want).all(), "maxpool deviates from scan oracle"
+        assert np.array_equal(got, want), "maxpool deviates from scan oracle"
 
 
 def _gradcheck_layer(build_loss, params, tol) -> None:
@@ -93,6 +103,19 @@ def check_conv_gradcheck() -> None:
 
     def loss():
         return _sq_mean(ops.conv2d(x, p))
+
+    _gradcheck_layer(loss, [("x", x), ("w", w), ("b", b)], 1e-6)
+
+
+def check_pwconv_gradcheck() -> None:
+    rng = Rng(2002)
+    x = _rand(rng.spawn("px"), (2, 3, 4, 5), dtype=np.float64, requires_grad=True)
+    w = _rand(rng.spawn("pw"), (4, 3, 1, 1), dtype=np.float64, requires_grad=True)
+    b = _rand(rng.spawn("pb"), (1, 4, 1, 1), dtype=np.float64, requires_grad=True)
+    p = ops.ConvParams(w, b, stride=1, pad=0)
+
+    def loss():
+        return _sq_mean(ops.pwconv(x, p))
 
     _gradcheck_layer(loss, [("x", x), ("w", w), ("b", b)], 1e-6)
 
@@ -143,17 +166,23 @@ def check_batchnorm_eval_affine() -> None:
 
 def check_activation_gradchecks() -> None:
     rng = Rng(707)
-    x = _rand(rng.spawn("x"), (2, 3, 4, 4), dtype=np.float64, requires_grad=True, lo=0.1, hi=1.0)
-
-    def loss_r():
-        return _sq_mean(ops.relu(x))
-
-    def loss_s():
-        return _sq_mean(ops.sigmoid(x))
-
-    _gradcheck_layer(loss_r, [("x", x)], 1e-6)
-    x.grad = None
-    _gradcheck_layer(loss_s, [("x", x)], 1e-6)
+    pos = _rand(rng.spawn("x"), (2, 3, 4, 4), dtype=np.float64, requires_grad=True, lo=0.1, hi=1.0)
+    # both signs, every input at least 0.2 away from the relu kink
+    signed = _rand(rng.spawn("rx"), (2, 3, 4, 4), dtype=np.float64, requires_grad=True)
+    signed.data += 0.2 * np.sign(signed.data)
+    # shifted, so the upstream gradient is not zero where relu gives 0
+    shift = Tensor(rng.spawn("t").uniform(96, -1, 1).reshape(2, 3, 4, 4))
+    for x in (pos, signed):
+        for act in (ops.relu, ops.sigmoid):
+            _gradcheck_layer(lambda: _sq_mean(ewise_add(act(x), shift)), [("x", x)], 1e-6)
+    # at the kink no finite difference can tell: relu passes nothing at -0 or +0
+    x = Tensor(np.array([-2.0, -0.0, 0.0, 0.5]).reshape(1, 1, 2, 2), requires_grad=True)
+    g = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 2, 2)
+    y = ops.relu(x)
+    y.backward(g)
+    want_y, want_dx = oracles.relu_where(x.data, g)
+    assert np.array_equal(y.data, want_y) and np.array_equal(x.grad, want_dx), \
+        f"relu at the kink gives {y.data.ravel()} and gradient {x.grad.ravel()}"
 
 
 def check_gap_oracle() -> None:
@@ -194,47 +223,100 @@ def check_softmax_xent_grad() -> None:
     want = (probs.data.reshape(4, 5) - onehot) / 4.0
     err = float(np.abs(logits.grad.reshape(4, 5) - want).max())
     assert err <= 1e-12, f"softmax/xent gradient deviates from closed form by {err}"
+    _gradcheck_layer(lambda: ops.softmax_xent(logits, labels)[0], [("logits", logits)], 1e-6)
 
 
-def _zeroed_attention(c: int, r: int):
+def check_backbone_gradcheck() -> None:
+    # conv biases sit before train-mode batchnorm, so their true gradient
+    # is zero and they are not probed
+    rng = Rng(2002)
+    bb = BackboneState.init(Rng(77), width_multiplier=1.0 / 16.0, dtype=np.float64)
+    img = _rand(rng.spawn("img"), (2, 1, 40, 40), dtype=np.float64, requires_grad=True)
+    target = Tensor(-rng.spawn("btgt").uniform(2 * 32, -1, 1).reshape(2, 32, 1, 1))
+
+    def loss():
+        d = ewise_add(backbone_features(img, bb, "train"), target)
+        return ops.mean_all(ewise_mul(d, d))
+
+    probe = [("img", img),
+             ("conv1.weight", bb.convs[0].weight), ("conv3.weight", bb.convs[2].weight),
+             ("bn2.gamma", bb.bns[1].gamma), ("bn4.beta", bb.bns[3].beta),
+             ("bn5.gamma", bb.bns[4].gamma)]
+    errs = check_gradients(loss, probe, sample=6)
+    worst = max(errs.values())
+    assert worst < 1e-5, f"backbone gradcheck rel err {worst:.3g}"
+
+
+def _zeroed_attention(c: int, r: int, keep_gammas: bool):
     rng = Rng(0)
     ca = ChannelAttnState.init(c, r, rng.spawn("ca"))
     sa = SpatialAttnState.init(c, r, rng.spawn("sa"))
     for _, t in ca.parameters():
         t.data[:] = 0.0
-    # every spatial parameter but the batchnorm gammas, which stay 1
+    # every spatial parameter, or all but the batchnorm gammas, which stay 1
     for name, t in sa.parameters():
-        if not name.endswith(".gamma"):
+        if not (keep_gammas and name.endswith(".gamma")):
             t.data[:] = 0.0
     return ca, sa
 
 
 def check_fusion_half_identity() -> None:
+    """Zero attention parameters collapse both gates to 1/2, so Z = (a+b)/4."""
     rng = Rng(222)
-    ca, sa = _zeroed_attention(8, 4)
-    a = _rand(rng.spawn("a"), (2, 8, 4, 4))
-    b = _rand(rng.spawn("b"), (2, 8, 4, 4))
-    z = csafm_fuse(a, b, ca, sa, "eval")
-    want = np.float32(0.25) * (a.data + b.data)
-    assert (z.data == want).all(), "zero-attention fusion != 0.25*(a+b) exactly"
+    for keep_gammas in (True, False):
+        ca, sa = _zeroed_attention(8, 4, keep_gammas)
+        for mode in ("train", "eval"):
+            for size in (4, 5):
+                a = _rand(rng.spawn("a", mode, size), (2, 8, size, size))
+                b = _rand(rng.spawn("b", mode, size), (2, 8, size, size))
+                z = csafm_fuse(a, b, ca, sa, mode)
+                want = np.float32(0.25) * (a.data + b.data)
+                assert np.array_equal(z.data, want), \
+                    f"zero-attention fusion != 0.25*(a+b) exactly ({mode}, gammas kept: {keep_gammas})"
 
 
 def check_fusion_coefficient_range() -> None:
     rng = Rng(333)
-    ca = ChannelAttnState.init(8, 4, rng.spawn("ca"))
-    sa = SpatialAttnState.init(8, 4, rng.spawn("sa"))
-    for t in range(10):
-        a = _rand(rng.spawn("a", t), (1, 8, 5, 5))
-        b = _rand(rng.spawn("b", t), (1, 8, 5, 5))
-        _, parts = csafm_fuse(a, b, ca, sa, "eval", return_parts=True)
-        for key in ("f_c_final", "f_s_final"):
-            v = parts[key].data
-            assert (v > 0).all() and (v < 1).all(), f"{key} outside (0,1)"
+    # (mode, draws, fresh attention weights every so many draws, input dims)
+    for mode, draws, every, dims in (("eval", 100, 25, (1, 8, 5, 5)),
+                                     ("train", 10, 1, (2, 8, 4, 4))):
+        for t in range(draws):
+            if t % every == 0:
+                ca = ChannelAttnState.init(8, 4, rng.spawn("ca", mode, t))
+                sa = SpatialAttnState.init(8, 4, rng.spawn("sa", mode, t))
+            a = _rand(rng.spawn("a", mode, t), dims)
+            b = _rand(rng.spawn("b", mode, t), dims)
+            _, parts = csafm_fuse(a, b, ca, sa, mode, return_parts=True)
+            for key in ("f_c_final", "f_s_final"):
+                v = parts[key].data
+                assert (v > 0).all() and (v < 1).all(), f"{key} outside (0,1) in {mode}"
+
+
+def check_fusion_gradcheck() -> None:
+    rng = Rng(2002)
+    ca = ChannelAttnState.init(8, 4, rng.spawn("ca"), dtype=np.float64)
+    sa = SpatialAttnState.init(8, 4, rng.spawn("sa"), dtype=np.float64)
+    a = _rand(rng.spawn("fa"), (2, 8, 4, 4), dtype=np.float64, requires_grad=True)
+    b = _rand(rng.spawn("fb2"), (2, 8, 4, 4), dtype=np.float64, requires_grad=True)
+
+    def loss():
+        return _sq_mean(csafm_fuse(a, b, ca, sa, "eval"))
+
+    probe = [("a", a), ("b", b),
+             ("ca.pw1.weight", ca.pw1.weight), ("ca.pw2.weight", ca.pw2.weight),
+             ("sa.conv1.weight", sa.conv1.weight), ("sa.conv2.weight", sa.conv2.weight)]
+    errs = check_gradients(loss, probe, sample=6)
+    worst = max(errs.values())
+    assert worst < 1e-5, f"fusion block gradcheck rel err {worst:.3g}"
 
 
 def check_shape_pipeline() -> None:
     c, h, w = feature_shape(200, 400)
     assert (c, h, w) == (512, 4, 7), f"200x400 backbone shape {(c, h, w)} != (512,4,7)"
+    for h, w in ((200, 400), (64, 64), (97, 123), (33, 250)):
+        want = oracles.backbone_shape(h, w, scaled_channels(1.0), KERNELS, CONV_STRIDES, CONV_PADS)
+        got = feature_shape(h, w)
+        assert got == want, f"{h}x{w} backbone shape {got} != shape oracle {want}"
     a = Tensor(np.zeros((1, 512, 4, 7), dtype=np.float32))
     b = Tensor(np.zeros((1, 512, 3, 9), dtype=np.float32))
     sa, sb = standardize(a, b)
@@ -254,8 +336,11 @@ def check_e2e_gradcheck() -> None:
     labels = np.array([0, 2])
     probe = [
         ("fp.conv1.weight", m.fp_backbone.convs[0].weight),
+        ("fv.conv3.weight", m.fv_backbone.convs[2].weight),
         ("fv.conv5.weight", m.fv_backbone.convs[4].weight),
         ("fusion.pw1.weight", m.fusion.channel.pw1.weight),
+        ("fusion.pw2.weight", m.fusion.channel.pw2.weight),
+        ("fusion.spconv1.weight", m.fusion.spatial.conv1.weight),
         ("fusion.spconv2.weight", m.fusion.spatial.conv2.weight),
         ("head.weight", m.head_w),
     ]
@@ -283,6 +368,20 @@ def check_weight_roundtrip() -> None:
         path = os.path.join(td, "w.csafm")
         save(m, path)
         m2 = load(path)
+        with open(path, "rb") as f:
+            buf = f.read()
+        for want, forged in ((WeightFileMagicError, b"XSAF" + buf[4:]),
+                             (WeightFileTruncatedError, buf[:-64]),
+                             (WeightFileVersionError, buf[:4] + (99).to_bytes(4, "little") + buf[8:])):
+            bad = os.path.join(td, "bad.csafm")
+            with open(bad, "wb") as f:
+                f.write(forged)
+            try:
+                load(bad)
+            except WeightFileError as e:
+                assert type(e) is want, f"{want.__name__} expected, load raised {type(e).__name__}"
+            else:
+                raise AssertionError(f"load accepted a file that should raise {want.__name__}")
     for (n1, a1, _), (n2, a2, _) in zip(m.state_entries(), m2.state_entries()):
         assert n1 == n2 and a1.shape == a2.shape and (a1 == a2).all(), \
             f"round trip altered {n1}"
@@ -305,9 +404,21 @@ def check_adam_first_step() -> None:
     assert float(q.data.reshape(())) == 3.0, "zero gradient moved a parameter"
 
 
+def check_cir_definition() -> None:
+    assert cir(np.array([0, 1, 2, 2]), np.array([0, 1, 2, 3])) == 75.0
+    assert cir(np.array([4, 0, 1]), np.array([4, 0, 1])) == 100.0
+    r = np.random.default_rng(5005)
+    preds, labels = r.integers(0, 6, 60), r.integers(0, 6, 60)
+    base = cir(preds, labels)
+    for _ in range(100):
+        perm = r.permutation(60)
+        assert cir(preds[perm], labels[perm]) == base, "CIR depends on sample order"
+
+
 CHECKS: list[tuple[str, Callable[[], None]]] = [
     ("conv_forward_oracle", check_conv_forward_oracle),
     ("conv_gradcheck", check_conv_gradcheck),
+    ("pwconv_gradcheck", check_pwconv_gradcheck),
     ("pool_forward_oracle", check_pool_forward_oracle),
     ("pool_gradcheck", check_pool_gradcheck),
     ("batchnorm_gradcheck", check_batchnorm_gradcheck),
@@ -316,12 +427,15 @@ CHECKS: list[tuple[str, Callable[[], None]]] = [
     ("gap_oracle", check_gap_oracle),
     ("fc_gradcheck", check_fc_gradcheck),
     ("softmax_xent_grad", check_softmax_xent_grad),
+    ("backbone_gradcheck", check_backbone_gradcheck),
     ("fusion_half_identity", check_fusion_half_identity),
     ("fusion_coefficient_range", check_fusion_coefficient_range),
+    ("fusion_gradcheck", check_fusion_gradcheck),
     ("shape_pipeline", check_shape_pipeline),
     ("e2e_gradcheck", check_e2e_gradcheck),
     ("weight_roundtrip", check_weight_roundtrip),
     ("adam_first_step", check_adam_first_step),
+    ("cir_definition", check_cir_definition),
 ]
 
 

@@ -1,8 +1,10 @@
 """Release gates. Each test is one criterion; run with -v for a line per gate.
 
+The criteria that take seconds are csafm.verify.CHECKS, the list that
+`csafm verify` runs; test_release_check runs each entry as its own test.
 The training gate (test_fused_variants_beat_unimodal_baselines) drives the
 real CLI on the default 16-class synthetic set three times and takes a few
-minutes; everything else is seconds.
+minutes.
 """
 
 import json
@@ -11,193 +13,39 @@ import time
 import numpy as np
 import pytest
 
-from csafm import (
-    BnParams,
-    ChannelAttnState,
-    ConvParams,
-    FpvCsafmModel,
-    FusionVariant,
-    Rng,
-    SpatialAttnState,
-    Tensor,
-    WeightFileMagicError,
-    WeightFileTruncatedError,
-    WeightFileVersionError,
-    batchnorm,
-    check_gradients,
-    cir,
-    conv2d,
-    csafm_fuse,
-    ewise_add,
-    ewise_mul,
-    feature_shape,
-    fully_connected,
-    gap,
-    load,
-    maxpool2d,
-    mean_all,
-    pwconv,
-    relu,
-    save,
-    scaled_channels,
-    sigmoid,
-    softmax_xent,
-    standardize,
-)
-from csafm.backbone import CONV_PADS, CONV_STRIDES, KERNELS
+from csafm import ChannelAttnState, FusionVariant, Rng, SpatialAttnState, Tensor, csafm_fuse
 from csafm.cli import main
+from csafm.verify import CHECKS
 
-from csafm import oracles
+# seconds that the named checks may take together
+BUDGETS = [
+    (30.0, {"conv_forward_oracle", "pool_forward_oracle"}),
+    (120.0, {"conv_gradcheck", "pwconv_gradcheck", "pool_gradcheck", "batchnorm_gradcheck",
+             "activation_gradchecks", "gap_oracle", "fc_gradcheck", "softmax_xent_grad",
+             "backbone_gradcheck", "fusion_gradcheck", "e2e_gradcheck"}),
+]
+assert set().union(*(names for _, names in BUDGETS)) <= dict(CHECKS).keys()
 
 
-def rand_t(rng, dims, dtype=np.float32, grad=False, lo=-1.0, hi=1.0):
+@pytest.fixture(scope="module")
+def spent():
+    """Seconds taken so far by the checks of each budget."""
+    return [0.0] * len(BUDGETS)
+
+
+@pytest.mark.parametrize("name, check", CHECKS, ids=[name for name, _ in CHECKS])
+def test_release_check(name, check, spent):
+    t0 = time.monotonic()
+    check()
+    for i, (budget, names) in enumerate(BUDGETS):
+        if name in names:
+            spent[i] += time.monotonic() - t0
+            assert spent[i] < budget, f"{sorted(names)} took {spent[i]:.1f} s together"
+
+
+def rand_t(rng, dims):
     n = int(np.prod(dims))
-    return Tensor(rng.uniform(n, lo, hi).astype(dtype).reshape(dims),
-                  requires_grad=grad)
-
-
-def test_forward_kernels_match_naive_oracles():
-    """conv within 1e-5 of the six-loop oracle, pool exact, 200 cases, <30s."""
-    t0 = time.monotonic()
-    rng = Rng(1001)
-    for t in range(100):
-        g = rng.spawn("conv", t)
-        n, ic, oc = 1 + int(g.below(2)), 1 + int(g.below(4)), 1 + int(g.below(4))
-        k = (1, 3, 5)[int(g.below(3))]
-        stride, pad = 1 + int(g.below(2)), int(g.below(3))
-        h, w = k + int(g.below(8)), k + int(g.below(8))
-        x = rand_t(g.spawn("x"), (n, ic, h, w))
-        wt = rand_t(g.spawn("w"), (oc, ic, k, k))
-        b = rand_t(g.spawn("b"), (1, oc, 1, 1))
-        got = conv2d(x, ConvParams(wt, b, stride, pad)).data
-        want = oracles.conv2d_loops(
-            x.data.astype(np.float64), wt.data.astype(np.float64),
-            b.data.reshape(-1).astype(np.float64), stride, pad)
-        assert np.abs(got.astype(np.float64) - want).max() <= 1e-5
-    for t in range(100):
-        g = rng.spawn("pool", t)
-        n, c = 1 + int(g.below(2)), 1 + int(g.below(4))
-        k = 2 + int(g.below(3))
-        stride, pad = 1 + int(g.below(2)), int(g.below(k))
-        h, w = k + int(g.below(8)), k + int(g.below(8))
-        x = rand_t(g.spawn("x"), (n, c, h, w))
-        got = maxpool2d(x, k, stride, pad).data
-        assert np.array_equal(got, oracles.maxpool_loops(x.data, k, stride, pad))
-    assert time.monotonic() - t0 < 30.0
-
-
-def _worst(build_loss, params, sample=10):
-    errs = check_gradients(build_loss, params, sample=sample)
-    return max(errs.values())
-
-
-def _sq(t):
-    return mean_all(ewise_mul(t, t))
-
-
-def test_gradients_match_numeric_derivatives():
-    """f64 gradchecks: every layer <1e-6; backbone, fusion, e2e <1e-5; <2min."""
-    t0 = time.monotonic()
-    rng = Rng(2002)
-
-    x = rand_t(rng.spawn("cx"), (2, 2, 6, 7), np.float64, grad=True)
-    w = rand_t(rng.spawn("cw"), (3, 2, 3, 3), np.float64, grad=True)
-    b = rand_t(rng.spawn("cb"), (1, 3, 1, 1), np.float64, grad=True)
-    cp = ConvParams(w, b, stride=2, pad=1)
-    assert _worst(lambda: _sq(conv2d(x, cp)),
-                  [("x", x), ("w", w), ("b", b)]) < 1e-6
-
-    x = rand_t(rng.spawn("px"), (2, 3, 4, 5), np.float64, grad=True)
-    pw = rand_t(rng.spawn("pw"), (4, 3, 1, 1), np.float64, grad=True)
-    pb = rand_t(rng.spawn("pb"), (1, 4, 1, 1), np.float64, grad=True)
-    pp = ConvParams(pw, pb, stride=1, pad=0)
-    assert _worst(lambda: _sq(pwconv(x, pp)),
-                  [("x", x), ("w", pw), ("b", pb)]) < 1e-6
-
-    x = rand_t(rng.spawn("mx"), (2, 2, 6, 6), np.float64, grad=True)
-    assert _worst(lambda: _sq(maxpool2d(x, 3, 2, 1)), [("x", x)]) < 1e-6
-
-    x = rand_t(rng.spawn("bx"), (3, 4, 3, 3), np.float64, grad=True)
-    bn = BnParams.init(4, dtype=np.float64)
-    bn.gamma.data[:] += 0.1 * rng.spawn("bg").uniform(4).reshape(1, 4, 1, 1)
-    tgt = Tensor(-rng.spawn("bt").uniform(x.data.size, -1, 1).reshape(x.dims))
-
-    def bn_loss():
-        frozen = BnParams(bn.gamma, bn.beta,
-                          bn.running_mean.copy(), bn.running_var.copy())
-        d = ewise_add(batchnorm(x, frozen, "train"), tgt)
-        return mean_all(ewise_mul(d, d))
-
-    assert _worst(bn_loss, [("x", x), ("gamma", bn.gamma), ("beta", bn.beta)]) < 1e-6
-
-    x = rand_t(rng.spawn("rx"), (2, 3, 4, 4), np.float64, grad=True)
-    x.data += 0.2 * np.sign(x.data)  # keep probes away from the relu kink
-    assert _worst(lambda: _sq(relu(x)), [("x", x)]) < 1e-6
-    x.grad = None
-    assert _worst(lambda: _sq(sigmoid(x)), [("x", x)]) < 1e-6
-
-    x = rand_t(rng.spawn("gx"), (2, 3, 5, 4), np.float64, grad=True)
-    assert _worst(lambda: _sq(gap(x)), [("x", x)]) < 1e-6
-
-    x = rand_t(rng.spawn("fx"), (3, 6, 1, 1), np.float64, grad=True)
-    fw = rand_t(rng.spawn("fw"), (4, 6, 1, 1), np.float64, grad=True)
-    fb = rand_t(rng.spawn("fb"), (1, 4, 1, 1), np.float64, grad=True)
-    assert _worst(lambda: _sq(fully_connected(x, fw, fb)),
-                  [("x", x), ("w", fw), ("b", fb)]) < 1e-6
-
-    logits = rand_t(rng.spawn("sx"), (4, 5, 1, 1), np.float64, grad=True)
-    labels = np.array([0, 3, 2, 4])
-    assert _worst(lambda: softmax_xent(logits, labels)[0],
-                  [("logits", logits)]) < 1e-6
-
-    # width-multiplied backbone; conv biases sit before train-mode
-    # batchnorm so their true gradient is zero and they are not probed
-    from csafm import BackboneState, backbone_features
-    bb = BackboneState.init(Rng(77), width_multiplier=1.0 / 16.0, dtype=np.float64)
-    img = rand_t(rng.spawn("img"), (2, 1, 40, 40), np.float64, grad=True)
-    btgt = Tensor(-rng.spawn("btgt").uniform(2 * 32, -1, 1).reshape(2, 32, 1, 1))
-
-    def bb_loss():
-        d = ewise_add(backbone_features(img, bb, "train"), btgt)
-        return mean_all(ewise_mul(d, d))
-
-    probes = [("img", img),
-              ("conv1.w", bb.convs[0].weight), ("conv3.w", bb.convs[2].weight),
-              ("bn2.gamma", bb.bns[1].gamma), ("bn4.beta", bb.bns[3].beta),
-              ("bn5.gamma", bb.bns[4].gamma)]
-    assert _worst(bb_loss, probes, sample=6) < 1e-5
-
-    ca = ChannelAttnState.init(8, 4, rng.spawn("ca"), dtype=np.float64)
-    sa = SpatialAttnState.init(8, 4, rng.spawn("sa"), dtype=np.float64)
-    fa = rand_t(rng.spawn("fa"), (2, 8, 4, 4), np.float64, grad=True)
-    fb_ = rand_t(rng.spawn("fb2"), (2, 8, 4, 4), np.float64, grad=True)
-
-    def fuse_loss():
-        return _sq(csafm_fuse(fa, fb_, ca, sa, "eval"))
-
-    fprobes = [("a", fa), ("b", fb_),
-               ("ca.pw1.w", ca.pw1.weight), ("ca.pw2.w", ca.pw2.weight),
-               ("sa.conv1.w", sa.conv1.weight), ("sa.conv2.w", sa.conv2.weight)]
-    assert _worst(fuse_loss, fprobes, sample=6) < 1e-5
-
-    model = FpvCsafmModel.build(
-        classes=3, fp_size=(20, 20), fv_size=(20, 20),
-        variant=FusionVariant.CSAFM, rng=Rng(88), r1=4, r2=4,
-        width_multiplier=1.0 / 16.0, dtype=np.float64)
-    mfp = rand_t(rng.spawn("mfp"), (2, 1, 20, 20), np.float64)
-    mfv = rand_t(rng.spawn("mfv"), (2, 1, 20, 20), np.float64)
-    mlabels = np.array([0, 2])
-
-    def e2e_loss():
-        return softmax_xent(model.forward_batch(mfp, mfv, "eval"), mlabels)[0]
-
-    eprobes = [("fp.conv1.w", model.fp_backbone.convs[0].weight),
-               ("fv.conv3.w", model.fv_backbone.convs[2].weight),
-               ("fusion.ca.pw2.w", model.fusion.channel.pw2.weight),
-               ("fusion.sa.conv1.w", model.fusion.spatial.conv1.weight),
-               ("head.w", model.head_w)]
-    assert _worst(e2e_loss, eprobes, sample=5) < 1e-5
-    assert time.monotonic() - t0 < 120.0
+    return Tensor(rng.uniform(n, -1.0, 1.0).astype(np.float32).reshape(dims))
 
 
 def test_zeroed_attention_gives_exact_quarter_sum():
@@ -226,19 +74,6 @@ def test_zeroed_attention_gives_exact_quarter_sum():
         for key in ("f_c_final", "f_s_final"):
             v = parts[key].data
             assert (v > 0.0).all() and (v < 1.0).all()
-
-
-def test_backbone_and_standardize_shape_contract():
-    assert feature_shape(200, 400) == (512, 4, 7)
-    for h, w in ((200, 400), (64, 64), (97, 123), (33, 250)):
-        want = oracles.backbone_shape(
-            h, w, scaled_channels(1.0), KERNELS, CONV_STRIDES, CONV_PADS)
-        assert feature_shape(h, w) == want
-    a = Tensor.zeros((1, 512, 4, 7))
-    b = Tensor.zeros((1, 512, 3, 9))
-    sa_, sb_ = standardize(a, b)
-    assert sa_.dims == (1, 512, 3, 7)
-    assert sb_.dims == (1, 512, 3, 7)
 
 
 def _train_cli(cfg: dict, path, out) -> dict:
@@ -298,48 +133,3 @@ def test_training_reproducibility(tmp_path, config_file):
         assert main(["train", "--config", str(path), "--out", str(d)]) == 0
     assert (d1 / "history.csv").read_bytes() == (d2 / "history.csv").read_bytes()
     assert (d1 / "weights.csafm").read_bytes() == (d2 / "weights.csafm").read_bytes()
-
-
-def test_weight_file_round_trip_and_corruption(tmp_path):
-    model = FpvCsafmModel.build(
-        classes=4, fp_size=(33, 33), fv_size=(33, 33),
-        variant=FusionVariant.CSAFM, rng=Rng(4004), r1=4, r2=4,
-        width_multiplier=0.125)
-    path = tmp_path / "w.csafm"
-    save(model, path)
-    again = load(path)
-    for (n1, a1, _), (n2, a2, _) in zip(model.state_entries(),
-                                        again.state_entries()):
-        assert n1 == n2
-        assert np.array_equal(a1, a2)
-
-    buf = path.read_bytes()
-    caught = []
-    bad_magic = tmp_path / "m.csafm"
-    bad_magic.write_bytes(b"XSAF" + buf[4:])
-    with pytest.raises(WeightFileMagicError) as e1:
-        load(bad_magic)
-    caught.append(type(e1.value))
-    truncated = tmp_path / "t.csafm"
-    truncated.write_bytes(buf[: len(buf) - 64])
-    with pytest.raises(WeightFileTruncatedError) as e2:
-        load(truncated)
-    caught.append(type(e2.value))
-    bad_version = tmp_path / "v.csafm"
-    bad_version.write_bytes(buf[:4] + (99).to_bytes(4, "little") + buf[8:])
-    with pytest.raises(WeightFileVersionError) as e3:
-        load(bad_version)
-    caught.append(type(e3.value))
-    assert len(set(caught)) == 3
-
-
-def test_recognition_rate_definition():
-    assert cir(np.array([0, 1, 2, 2]), np.array([0, 1, 2, 3])) == 75.0
-    assert cir(np.array([4, 0, 1]), np.array([4, 0, 1])) == 100.0
-    r = np.random.default_rng(5005)
-    preds = r.integers(0, 6, 60)
-    labels = r.integers(0, 6, 60)
-    base = cir(preds, labels)
-    for _ in range(100):
-        perm = r.permutation(60)
-        assert cir(preds[perm], labels[perm]) == base

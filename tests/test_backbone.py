@@ -135,7 +135,7 @@ class TestLearning:
         # fixed step count: running stats need ~80 updates to settle for eval
         for step in range(80):
             for _, t in params:
-                t.zero_grad()
+                t.grad = None
             logits = m.forward_batch(x, None, "train")
             loss, _ = ops.softmax_xent(logits, y)
             loss.backward()

@@ -10,7 +10,7 @@ from csafm import DataError, FpvCsafmModel, FusionVariant, Rng, UnimodalClassifi
 from csafm.cli import (
     _ABLATION_ORDER, _BLAS_VARS, _blas_pinned_pool, _worker_cap, build_parser, cmd_ablate, main,
 )
-from csafm.verify import CHECKS
+from csafm import verify
 
 
 def run_cli(capsys, *argv):
@@ -293,8 +293,32 @@ class TestVerify:
         rc, out, _ = run_cli(capsys, "verify")
         assert rc == 0
         lines = [ln for ln in out.splitlines() if ln]
-        assert len(lines) == len(CHECKS)
+        assert len(lines) == len(verify.CHECKS)
         assert all(ln.startswith("PASS ") for ln in lines)
+
+    def test_failing_checks_reported_and_later_checks_run(self, capsys, monkeypatch):
+        ran = []
+
+        def passing(name):
+            return name, lambda: ran.append(name)
+
+        def broken_gate():
+            raise AssertionError("gate moved")
+
+        def broken_kernel():
+            raise ValueError("kernel blew up")
+
+        monkeypatch.setattr(verify, "CHECKS", [
+            passing("first"), ("gate", broken_gate), passing("middle"),
+            ("kernel", broken_kernel), passing("last"),
+        ])
+        rc, out, _ = run_cli(capsys, "verify")
+        assert rc == 1
+        assert out.splitlines() == [
+            "PASS first", "FAIL gate: gate moved", "PASS middle",
+            "FAIL kernel: kernel blew up", "PASS last",
+        ]
+        assert ran == ["first", "middle", "last"]
 
 
 class TestParser:

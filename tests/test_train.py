@@ -93,8 +93,6 @@ class TestAdam:
     def test_bad_hyperparameters_rejected(self):
         with pytest.raises(ParameterError):
             AdamState(lr=-1e-4)
-        with pytest.raises(ParameterError):
-            AdamState(beta1=1.0)
 
 
 class TestCir:
