@@ -31,8 +31,10 @@ def numeric_grad(
     sample=None every element is probed; otherwise `sample` positions are
     drawn without replacement using rng.
     """
-    flat = wrt.data.reshape(-1)
-    size = flat.size
+    # the flat iterator writes through to wrt.data whatever its strides;
+    # reshape(-1) of a non-contiguous array is a copy the probes would miss
+    flat = wrt.data.flat
+    size = wrt.data.size
     if sample is None or sample >= size:
         idx = np.arange(size)
     else:

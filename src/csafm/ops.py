@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionError, ParameterError
 from .tensor import Tensor, accumulate_grad, make_node
@@ -43,7 +42,17 @@ class StateTree:
 
 @dataclass
 class ConvParams(StateTree):
-    """Weights for one convolution: weight (out_c, in_c, kh, kw), bias (1, out_c, 1, 1)."""
+    """Weights for one convolution: weight (out_c, in_c, kh, kw), bias (1, out_c, 1, 1).
+
+    he_init holds the weight channels-last in memory: its data is the
+    (out_c, in_c, kh, kw) transpose of an (out_c, kh, kw, in_c) buffer, the
+    (i, j, c) column order of conv2d's patch matrix. So the forward GEMM
+    reads it in place and backward writes dw in the same order, with no
+    relayout copy per call. Every reader of values sees the logical
+    (out_c, in_c, kh, kw) array, and the weight file stores it row-major in
+    that order. conv2d takes a C-ordered weight as well, at the cost of a
+    channels-last copy per call, and gives the same bytes.
+    """
 
     weight: Tensor
     bias: Tensor
@@ -81,8 +90,10 @@ class ConvParams(StateTree):
                 f"channel counts and kernel must be >= 1, got {in_c}/{out_c}/{k}"
             )
         std = float(np.sqrt(2.0 / (in_c * k * k)))
-        w = rng.normal(out_c * in_c * k * k, 0.0, std).astype(dtype)
-        weight = Tensor(w.reshape(out_c, in_c, k, k), requires_grad=True)
+        w = np.empty((out_c, k, k, in_c), dtype=dtype).transpose(0, 3, 1, 2)
+        # the draws fill the logical (out_c, in_c, k, k) order, as a C-ordered weight's would
+        w[...] = rng.normal(out_c * in_c * k * k, 0.0, std).reshape(w.shape)
+        weight = Tensor(w, requires_grad=True)
         bias = Tensor(np.zeros((1, out_c, 1, 1), dtype=dtype), requires_grad=True)
         return cls(weight=weight, bias=bias, stride=stride, pad=pad)
 
@@ -151,29 +162,41 @@ def _pad_cl(x: np.ndarray, pad: int) -> np.ndarray:
     return out
 
 
-def _windows(xpl: np.ndarray, k, s: int, oh: int, ow: int) -> np.ndarray:
-    """Read-only (n, oh, ow, kh, kw, c) view of the windows of a padded (n, H, W, c) input.
+def _view(a: np.ndarray, shape, offset: int, strides) -> np.ndarray:
+    """Read-only view of the C-contiguous array a, from byte `offset` on.
+
+    The ndarray constructor builds it in about 1.2 us where as_strided
+    takes 5-7 us, and refuses a view that would overrun a's buffer.
+    """
+    v = np.ndarray(shape, a.dtype, a, offset, strides)
+    v.flags.writeable = False
+    return v
+
+
+def _windows(xpl: np.ndarray, k, s: int, oh: int, ow: int, origin=(0, 0)) -> np.ndarray:
+    """Read-only (n, oh, ow, kh, kw, c) view of the windows of a C-contiguous
+    padded (n, H, W, c) input.
 
     k is the window, an int for k x k or a (kh, kw) pair. Window (y, x) starts
-    at row s*y, column s*x of xpl; xpl may extend past the last window. The
-    view is built from explicit strides: about 7 us per call against 19 us
-    for sliding_window_view and its strided slice, and a fused forward
-    takes 14 views. as_strided checks no bounds, so the last window's far
-    edge is checked against xpl here.
+    at row i0 + s*y, column j0 + s*x of xpl, where (i0, j0) is origin; xpl
+    may extend past the last window. The far edge of the last window is
+    checked here, so an overrun fails with a DimensionError.
     """
     kh, kw = (k, k) if isinstance(k, int) else k
+    i0, j0 = origin
     n, hp, wp, c = xpl.shape
-    if s * (oh - 1) + kh > hp or s * (ow - 1) + kw > wp:
+    if i0 + s * (oh - 1) + kh > hp or j0 + s * (ow - 1) + kw > wp:
         raise DimensionError(
-            f"{oh}x{ow} windows of {kh}x{kw} at stride {s} do not fit a {hp}x{wp} input")
+            f"{oh}x{ow} windows of {kh}x{kw} at stride {s} from ({i0}, {j0}) "
+            f"do not fit a {hp}x{wp} input")
     sn, sh, sw, sc = xpl.strides
-    return as_strided(xpl, (n, oh, ow, kh, kw, c), (sn, s * sh, s * sw, sh, sw, sc),
-                      writeable=False)
+    return _view(xpl, (n, oh, ow, kh, kw, c), i0 * sh + j0 * sw,
+                 (sn, s * sh, s * sw, sh, sw, sc))
 
 
-def _im2col(xpl: np.ndarray, k, s: int, oh: int, ow: int) -> np.ndarray:
+def _im2col(xpl: np.ndarray, k, s: int, oh: int, ow: int, origin=(0, 0)) -> np.ndarray:
     """(n, H, W, c) padded input -> (n*oh*ow, kh*kw*c) patch matrix, columns in (i, j, c) order."""
-    win = _windows(xpl, k, s, oh, ow)
+    win = _windows(xpl, k, s, oh, ow, origin)
     n, _, _, kh, kw, c = win.shape
     return win.reshape(n * oh * ow, kh * kw * c)
 
@@ -220,7 +243,10 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     in (i, j, c) order, so each window row it copies is one run of kw*c
     contiguous floats rather than c runs of kw. The GEMM therefore sums
     over K in (i, j, c) order, and the forward output differs in the last
-    bits from a (c, i, j) patch matrix. At c = 1 (stage 1 on the grayscale
+    bits from a (c, i, j) patch matrix. A weight from ConvParams.he_init
+    is held in that (oc, i, j, c) order, so with every tap live the GEMM
+    reads it in place, where a per-call relayout copy took 193 us of a
+    2.4 ms batch-1 gate forward. At c = 1 (stage 1 on the grayscale
     image) a window row is only kw floats long, so the matrix is built
     tap-major instead, as (kh*kw, n*oh*ow) in one copy of long rows, and
     the weight multiplies it from the left. That GEMM sums the same
@@ -241,8 +267,12 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     outputs whose read at that tap lands inside the input (_tap_windows):
     with g cut to that window as an (m, oc) matrix gs and xw the (m, c)
     input cells it reads, dw[i, j] = gs.T xw and dx[cells] += gs w[:, :, i, j],
-    added in row-major tap order into an unpadded channels-last dx. dw is
-    built in a +0 buffer, so a tap that reads only padding keeps +0. At
+    added in row-major tap order into an unpadded channels-last dx. Of a
+    channels-last weight, w[:, :, i, j] is an (oc, c) matrix with unit
+    inner stride, which BLAS reads without a copy. dw is built in a +0
+    (oc, kh, kw, c) buffer, so a tap that reads only padding keeps +0, and
+    handed over as its (oc, c, kh, kw) transpose: the grad has the strides
+    of a he_init weight, and so do Adam's moments. At
     c = 1 (stage 1 on the grayscale image) a per-tap dw would be a GEMV,
     twice as slow, so dw there stays one GEMM of g against the patch
     matrix, rebuilt from the padded input: kept alive from forward, the
@@ -278,11 +308,16 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     # np.dot, not @, and g_oc and g_cl as copies: BLAS picks its kernel by
     # layout and shape, and the kernels sum in different orders, so another
     # layout of the backward operands changes the low bits of dw and dx.
-    # The weight copy comes before the padded input: in the other order
-    # glibc kept more heap, and the fusion_paper benchmark peaked 3.9 MiB higher
-    w_cl = p.weight.data[:, :, i0:i1, j0:j1].transpose(0, 2, 3, 1).reshape(oc, kh * kw * c)
+    # w_l is the weight as (oc, kh, kw, c): a view of a he_init weight, a copy
+    # of a C-ordered one. Both layouts then give the GEMMs the same operands,
+    # whose layout sets the low bits. w_cl, its live taps as a matrix, is a
+    # view too unless columns are trimmed from more than one row. Those
+    # copies come before the padded input: in the other order glibc kept
+    # more heap, and the fusion_paper benchmark peaked 3.9 MiB higher
+    w_l = np.ascontiguousarray(p.weight.data.transpose(0, 2, 3, 1))
+    w_cl = w_l[:, i0:i1, j0:j1].reshape(oc, kh * kw * c)
     xpl = _pad_cl(x.data, pad)
-    win = _windows(xpl[:, i0:, j0:], (kh, kw), s, oh, ow)
+    win = _windows(xpl, (kh, kw), s, oh, ow, (i0, j0))
     if c == 1:
         # tap-major (kh*kw, n*oh*ow): one copy of rows n*oh*ow long, where the
         # pixel-major matrix copies rows of kw floats; the same sums come out
@@ -296,12 +331,12 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
 
     def bw(g: np.ndarray) -> None:
         accumulate_grad(p.bias, g.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1), fresh=True)
-        dw = np.zeros((k, k, oc, c), dtype=g.dtype)
+        dw = np.zeros((oc, k, k, c), dtype=g.dtype)  # channels-last, as he_init holds w
         if c == 1:
             # a per-tap dw would be a GEMV, twice as slow as this one GEMM
             g_oc = g.transpose(1, 0, 2, 3).reshape(oc, n * oh * ow)
-            dw_live = np.dot(g_oc, _im2col(xpl[:, i0:, j0:], (kh, kw), s, oh, ow))
-            dw[i0:i1, j0:j1] = dw_live.reshape(oc, kh, kw, c).transpose(1, 2, 0, 3)
+            dw_live = np.dot(g_oc, _im2col(xpl, (kh, kw), s, oh, ow, (i0, j0)))
+            dw[:, i0:i1, j0:j1] = dw_live.reshape(oc, kh, kw, c)
         if c > 1 or x.requires_grad:
             # g_cl (n, oh, ow, oc) is cut to each tap's output window, and
             # x_cl and dx (n, h, w, c) to the input cells that window reads
@@ -313,13 +348,13 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
                 for j, ox, ix in cols:
                     gs = g_cl[:, oy, ox].reshape(-1, oc)
                     if c > 1:
-                        dw[i, j] = np.dot(gs.T, x_cl[:, iy, ix].reshape(-1, c))
+                        dw[:, i, j] = np.dot(gs.T, x_cl[:, iy, ix].reshape(-1, c))
                     if dx is not None:
                         dx_win = dx[:, iy, ix]
-                        dx_win += np.dot(gs, p.weight.data[:, :, i, j]).reshape(dx_win.shape)
+                        dx_win += np.dot(gs, w_l[:, i, j]).reshape(dx_win.shape)
             if dx is not None:
                 accumulate_grad(x, np.ascontiguousarray(dx.transpose(0, 3, 1, 2)), fresh=True)
-        accumulate_grad(p.weight, dw.transpose(2, 3, 0, 1))
+        accumulate_grad(p.weight, dw.transpose(0, 3, 1, 2), fresh=True)
 
     return make_node(out, (x, p.weight, p.bias), bw)
 
@@ -337,14 +372,24 @@ def pwconv(x: Tensor, p: ConvParams) -> Tensor:
 def maxpool2d(x: Tensor, k: int, stride: int, pad: int) -> Tensor:
     """Per-window max; gradient routes to the first argmax in row-major scan.
 
-    Forward is a running np.maximum over the k*k shifted, strided slices
-    ("taps") of the -inf-padded input: no window copy and no argmax, which
-    eval never needs. A tie keeps the earlier tap's value, so a 0.0/-0.0
-    tie gives the first argmax's sign. Backward finds the first argmax as
-    the lowest offset whose tap equals the max, and a window whose max is
-    NaN routes to its first NaN, as np.argmax does. The gradient is then
-    added with np.add.at in row-major output order, so an input pixel
-    shared by overlapping windows sums their gradients in a fixed order.
+    Forward copies the k*k shifted, strided slices ("taps") of the
+    -inf-padded input into one contiguous (k*k, n, c, oh, ow) buffer, in
+    reverse row-major tap order, and takes one np.maximum.reduce over its
+    first axis: no argmax, which eval never needs. A running np.maximum
+    over the k*k strided views, whose inner loops are 1-24 floats long,
+    cost about twice as much at batch 1 over the gate task's ten pools,
+    and as much at batch 16. The reduce returns
+    its second operand on a tie and its first on two NaNs, so the reversed
+    order keeps the first tap's value of a tie, and a 0.0/-0.0 tie gives
+    the first argmax's sign; a window holding NaNs gives its last NaN.
+    These are the bytes of a running np.maximum from tap 0 on
+    (oracles.maxpool_chain). The buffer lives for the call only.
+
+    Backward finds the first argmax as the lowest offset whose tap equals
+    the max, and a window whose max is NaN routes to its first NaN, as
+    np.argmax does. The gradient is then added with np.add.at in
+    row-major output order, so an input pixel shared by overlapping
+    windows sums their gradients in a fixed order.
     """
     n, c, h, w = x.dims
     oh = conv_out_size(h, k, stride, pad)
@@ -356,17 +401,19 @@ def maxpool2d(x: Tensor, k: int, stride: int, pad: int) -> Tensor:
 
     xp = _pad(x.data, pad, -np.inf)
     kk = k * k
+    sn, sc, sh, sw = xp.strides
+    # (k, k, n, c, oh, ow) view of the taps from the last (k-1, k-1) back to
+    # (0, 0); the reshape gathers them in that order in one copy
+    taps = _view(xp, (k, k, n, c, oh, ow), (k - 1) * (sh + sw),
+                 (-sh, -sw, sn, sc, stride * sh, stride * sw))
+    out = np.maximum.reduce(taps.reshape(kk, n, c, oh, ow), axis=0)
+    if np.isneginf(out).any():
+        raise DimensionError("maxpool2d window entirely in padding")
 
     def tap(t: int) -> np.ndarray:
         # (n, c, oh, ow) strided view of xp at window offset t = i*k + j
         i, j = divmod(t, k)
         return xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-
-    out = tap(0).copy()
-    for t in range(1, kk):
-        np.maximum(tap(t), out, out=out)  # on a tie np.maximum returns its second operand
-    if np.isneginf(out).any():
-        raise DimensionError("maxpool2d window entirely in padding")
 
     def bw(g: np.ndarray) -> None:
         if not x.requires_grad:

@@ -17,7 +17,8 @@ def conv2d_loops(x, w, b, stride, pad):
     """Six-loop cross-correlation. x (n,c,h,w), w (co,c,k,k), b (co,)."""
     n, c, h, wd = x.shape
     co, ci, k, k2 = w.shape
-    assert ci == c and k == k2
+    if ci != c or k != k2:  # not assert: python -O would drop it
+        raise AssertionError(f"weight {w.shape} does not fit input {x.shape}")
     oh = out_size(h, k, stride, pad)
     ow = out_size(wd, k, stride, pad)
     xp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=np.float64)
@@ -72,6 +73,25 @@ def maxpool_loops(x, k, stride, pad):
                     win = xp[ni, ci, yi * stride:yi * stride + k,
                              xi * stride:xi * stride + k]
                     out[ni, ci, yi, xi] = win.max()
+    return out
+
+
+def maxpool_chain(x, k, stride, pad):
+    """Max pool as a running np.maximum over the k*k strided taps of the
+    -inf padded input, from tap (0, 0) on in row-major order. On a tie
+    np.maximum returns its second operand, here the running max, so the
+    earliest tap's value (and sign of zero) is kept; of two NaNs it returns
+    the first, so the latest NaN tap's payload is kept."""
+    n, c, h, w = x.shape
+    oh = out_size(h, k, stride, pad)
+    ow = out_size(w, k, stride, pad)
+    xp = np.full((n, c, h + 2 * pad, w + 2 * pad), -np.inf, dtype=x.dtype)
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    taps = [xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+            for i in range(k) for j in range(k)]
+    out = taps[0].copy()
+    for t in taps[1:]:
+        np.maximum(t, out, out=out)
     return out
 
 

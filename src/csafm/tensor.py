@@ -173,10 +173,11 @@ def accumulate_grad(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
 
     The first gradient a tensor receives is copied, unless the caller
     passes fresh=True: g is then an array its backward closure has just
-    allocated, which nothing else holds, and t.grad adopts it. Never pass
-    fresh=True for a view of another array or for a g that goes to more
-    than one tensor, as ewise_add's does: a later += into one grad would
-    write into the other.
+    allocated, or a view of one, which nothing else holds, and t.grad
+    adopts it with its strides (conv2d hands over the transpose of its
+    channels-last dw). Never pass fresh=True for a view of an array that
+    something else holds, or for a g that goes to more than one tensor, as
+    ewise_add's does: a later += into one grad would write into the other.
     """
     if not t.requires_grad:
         return

@@ -1,7 +1,9 @@
 """Self-contained correctness checks runnable from the command line.
 
-Each check is a named function that raises AssertionError on failure;
-run_all prints one PASS/FAIL line per check and reports overall success.
+Each check is a named function that raises AssertionError on failure,
+through _require rather than assert, so `python -O` checks the same
+criteria; run_all prints one PASS/FAIL line per check and reports overall
+success.
 CHECKS is the one list of release criteria: `csafm verify` runs it, and
 so does the test suite, one test per entry. The oracles (csafm.oracles
 and the closed forms here) are deliberately naive and independent of the
@@ -46,6 +48,12 @@ from .tensor import Rng, Tensor, ewise_add, ewise_mul
 from .train import AdamState, adam_step, cir
 
 
+def _require(ok, msg: str = "") -> None:
+    """Raise AssertionError(msg) unless ok; unlike assert, python -O keeps it."""
+    if not ok:
+        raise AssertionError(msg)
+
+
 def _rand(rng: Rng, dims, dtype=np.float32, requires_grad=False, lo=-1.0, hi=1.0) -> Tensor:
     n = int(np.prod(dims))
     return Tensor(rng.uniform(n, lo, hi).astype(dtype).reshape(dims),
@@ -66,7 +74,7 @@ def check_conv_forward_oracle() -> None:
         got = ops.conv2d(x, ops.ConvParams(wt, b, stride, pad)).data
         want = oracles.conv2d_loops(x.data, wt.data, b.data.reshape(-1), stride, pad)
         err = float(np.abs(got.astype(np.float64) - want).max())
-        assert err <= 1e-5, f"conv deviates from loop oracle by {err}"
+        _require(err <= 1e-5, f"conv deviates from loop oracle by {err}")
 
 
 def check_pool_forward_oracle() -> None:
@@ -80,13 +88,13 @@ def check_pool_forward_oracle() -> None:
         x = _rand(geo.spawn("x"), (n, c, h, w))
         got = ops.maxpool2d(x, k, stride, pad).data
         want = oracles.maxpool_loops(x.data, k, stride, pad)
-        assert np.array_equal(got, want), "maxpool deviates from scan oracle"
+        _require(np.array_equal(got, want), "maxpool deviates from scan oracle")
 
 
 def _gradcheck_layer(build_loss, params, tol) -> None:
     errs = check_gradients(build_loss, params, sample=12)
     worst = max(errs.values())
-    assert worst < tol, f"gradcheck rel err {worst:.3g} >= {tol}"
+    _require(worst < tol, f"gradcheck rel err {worst:.3g} >= {tol}")
 
 
 def _sq_mean(t: Tensor) -> Tensor:
@@ -161,7 +169,7 @@ def check_batchnorm_eval_affine() -> None:
     rv = p.running_var.reshape(1, 3, 1, 1)
     want = p.gamma.data * (x.data - rm) / np.sqrt(rv + np.float32(ops.BN_EPS)) + p.beta.data
     err = float(np.abs(got - want).max())
-    assert err <= 1e-6, f"eval batchnorm deviates from affine oracle by {err}"
+    _require(err <= 1e-6, f"eval batchnorm deviates from affine oracle by {err}")
 
 
 def check_activation_gradchecks() -> None:
@@ -181,8 +189,8 @@ def check_activation_gradchecks() -> None:
     y = ops.relu(x)
     y.backward(g)
     want_y, want_dx = oracles.relu_where(x.data, g)
-    assert np.array_equal(y.data, want_y) and np.array_equal(x.grad, want_dx), \
-        f"relu at the kink gives {y.data.ravel()} and gradient {x.grad.ravel()}"
+    _require(np.array_equal(y.data, want_y) and np.array_equal(x.grad, want_dx),
+             f"relu at the kink gives {y.data.ravel()} and gradient {x.grad.ravel()}")
 
 
 def check_gap_oracle() -> None:
@@ -191,7 +199,7 @@ def check_gap_oracle() -> None:
     got = ops.gap(x).data
     want = oracles.gap_loops(x.data.astype(np.float64))
     err = float(np.abs(got.astype(np.float64) - want).max())
-    assert err <= 1e-6, f"gap deviates from loop mean by {err}"
+    _require(err <= 1e-6, f"gap deviates from loop mean by {err}")
     x64 = Tensor(x.data.astype(np.float64), requires_grad=True)
 
     def loss():
@@ -222,7 +230,7 @@ def check_softmax_xent_grad() -> None:
     onehot[np.arange(4), labels] = 1.0
     want = (probs.data.reshape(4, 5) - onehot) / 4.0
     err = float(np.abs(logits.grad.reshape(4, 5) - want).max())
-    assert err <= 1e-12, f"softmax/xent gradient deviates from closed form by {err}"
+    _require(err <= 1e-12, f"softmax/xent gradient deviates from closed form by {err}")
     _gradcheck_layer(lambda: ops.softmax_xent(logits, labels)[0], [("logits", logits)], 1e-6)
 
 
@@ -244,7 +252,7 @@ def check_backbone_gradcheck() -> None:
              ("bn5.gamma", bb.bns[4].gamma)]
     errs = check_gradients(loss, probe, sample=6)
     worst = max(errs.values())
-    assert worst < 1e-5, f"backbone gradcheck rel err {worst:.3g}"
+    _require(worst < 1e-5, f"backbone gradcheck rel err {worst:.3g}")
 
 
 def _zeroed_attention(c: int, r: int, keep_gammas: bool):
@@ -271,8 +279,8 @@ def check_fusion_half_identity() -> None:
                 b = _rand(rng.spawn("b", mode, size), (2, 8, size, size))
                 z = csafm_fuse(a, b, ca, sa, mode)
                 want = np.float32(0.25) * (a.data + b.data)
-                assert np.array_equal(z.data, want), \
-                    f"zero-attention fusion != 0.25*(a+b) exactly ({mode}, gammas kept: {keep_gammas})"
+                _require(np.array_equal(z.data, want),
+                         f"zero-attention fusion != 0.25*(a+b) exactly ({mode}, gammas kept: {keep_gammas})")
 
 
 def check_fusion_coefficient_range() -> None:
@@ -289,7 +297,7 @@ def check_fusion_coefficient_range() -> None:
             _, parts = csafm_fuse(a, b, ca, sa, mode, return_parts=True)
             for key in ("f_c_final", "f_s_final"):
                 v = parts[key].data
-                assert (v > 0).all() and (v < 1).all(), f"{key} outside (0,1) in {mode}"
+                _require((v > 0).all() and (v < 1).all(), f"{key} outside (0,1) in {mode}")
 
 
 def check_fusion_gradcheck() -> None:
@@ -307,21 +315,21 @@ def check_fusion_gradcheck() -> None:
              ("sa.conv1.weight", sa.conv1.weight), ("sa.conv2.weight", sa.conv2.weight)]
     errs = check_gradients(loss, probe, sample=6)
     worst = max(errs.values())
-    assert worst < 1e-5, f"fusion block gradcheck rel err {worst:.3g}"
+    _require(worst < 1e-5, f"fusion block gradcheck rel err {worst:.3g}")
 
 
 def check_shape_pipeline() -> None:
     c, h, w = feature_shape(200, 400)
-    assert (c, h, w) == (512, 4, 7), f"200x400 backbone shape {(c, h, w)} != (512,4,7)"
+    _require((c, h, w) == (512, 4, 7), f"200x400 backbone shape {(c, h, w)} != (512,4,7)")
     for h, w in ((200, 400), (64, 64), (97, 123), (33, 250)):
         want = oracles.backbone_shape(h, w, scaled_channels(1.0), KERNELS, CONV_STRIDES, CONV_PADS)
         got = feature_shape(h, w)
-        assert got == want, f"{h}x{w} backbone shape {got} != shape oracle {want}"
+        _require(got == want, f"{h}x{w} backbone shape {got} != shape oracle {want}")
     a = Tensor(np.zeros((1, 512, 4, 7), dtype=np.float32))
     b = Tensor(np.zeros((1, 512, 3, 9), dtype=np.float32))
     sa, sb = standardize(a, b)
-    assert sa.dims == (1, 512, 3, 7) and sb.dims == (1, 512, 3, 7), \
-        f"standardize produced {sa.dims} / {sb.dims}"
+    _require(sa.dims == (1, 512, 3, 7) and sb.dims == (1, 512, 3, 7),
+             f"standardize produced {sa.dims} / {sb.dims}")
 
 
 def check_e2e_gradcheck() -> None:
@@ -351,7 +359,7 @@ def check_e2e_gradcheck() -> None:
 
     errs = check_gradients(loss, probe, sample=6)
     worst = max(errs.values())
-    assert worst < 1e-5, f"end-to-end gradcheck rel err {worst:.3g}"
+    _require(worst < 1e-5, f"end-to-end gradcheck rel err {worst:.3g}")
 
 
 def check_weight_roundtrip() -> None:
@@ -379,14 +387,14 @@ def check_weight_roundtrip() -> None:
             try:
                 load(bad)
             except WeightFileError as e:
-                assert type(e) is want, f"{want.__name__} expected, load raised {type(e).__name__}"
+                _require(type(e) is want,
+                         f"{want.__name__} expected, load raised {type(e).__name__}")
             else:
                 raise AssertionError(f"load accepted a file that should raise {want.__name__}")
     for (n1, a1, _), (n2, a2, _) in zip(m.state_entries(), m2.state_entries()):
-        assert n1 == n2 and a1.shape == a2.shape and (a1 == a2).all(), \
-            f"round trip altered {n1}"
+        _require(n1 == n2 and a1.shape == a2.shape and (a1 == a2).all(), f"round trip altered {n1}")
     after = m2.forward_batch(fp, fv, "eval").data
-    assert (before == after).all(), "round trip altered eval logits"
+    _require((before == after).all(), "round trip altered eval logits")
 
 
 def check_adam_first_step() -> None:
@@ -396,23 +404,23 @@ def check_adam_first_step() -> None:
     adam_step([("p", p)], st)
     delta = float(p.data.reshape(())) - 1.0
     want = -0.01 / (1.0 + 1e-8)
-    assert abs(delta - want) <= 0.01 * 1e-5, f"first Adam step {delta} != {want}"
+    _require(abs(delta - want) <= 0.01 * 1e-5, f"first Adam step {delta} != {want}")
     st2 = AdamState(lr=0.01)
     q = Tensor(np.full((1, 1, 1, 1), 3.0, dtype=np.float32), requires_grad=True)
     q.grad = np.zeros((1, 1, 1, 1), dtype=np.float32)
     adam_step([("q", q)], st2)
-    assert float(q.data.reshape(())) == 3.0, "zero gradient moved a parameter"
+    _require(float(q.data.reshape(())) == 3.0, "zero gradient moved a parameter")
 
 
 def check_cir_definition() -> None:
-    assert cir(np.array([0, 1, 2, 2]), np.array([0, 1, 2, 3])) == 75.0
-    assert cir(np.array([4, 0, 1]), np.array([4, 0, 1])) == 100.0
+    _require(cir(np.array([0, 1, 2, 2]), np.array([0, 1, 2, 3])) == 75.0)
+    _require(cir(np.array([4, 0, 1]), np.array([4, 0, 1])) == 100.0)
     r = np.random.default_rng(5005)
     preds, labels = r.integers(0, 6, 60), r.integers(0, 6, 60)
     base = cir(preds, labels)
     for _ in range(100):
         perm = r.permutation(60)
-        assert cir(preds[perm], labels[perm]) == base, "CIR depends on sample order"
+        _require(cir(preds[perm], labels[perm]) == base, "CIR depends on sample order")
 
 
 CHECKS: list[tuple[str, Callable[[], None]]] = [

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -319,6 +321,29 @@ class TestVerify:
             "FAIL kernel: kernel blew up", "PASS last",
         ]
         assert ran == ["first", "middle", "last"]
+
+    def test_false_criterion_fails_under_python_O(self):
+        """python -O strips assert statements; a check must still fail there."""
+        script = (
+            "import sys\n"
+            "from csafm import ops, verify\n"
+            "from csafm.cli import main\n"
+            "assert sys.flags.optimize and False\n"  # stripped under -O
+            "conv2d = ops.conv2d\n"
+            "def shifted(x, p):\n"
+            "    y = conv2d(x, p)\n"
+            "    y.data[...] += 1\n"
+            "    return y\n"
+            "ops.conv2d = shifted\n"
+            "verify.CHECKS[:] = [c for c in verify.CHECKS if c[0] == 'conv_forward_oracle']\n"
+            "sys.exit(main(['verify']))\n"
+        )
+        src = os.path.dirname(os.path.dirname(verify.__file__))
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout.startswith("FAIL conv_forward_oracle: conv deviates from loop oracle by")
 
 
 class TestParser:

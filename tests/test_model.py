@@ -34,6 +34,7 @@ from csafm import (
 from csafm import backbone as bb
 from csafm import fusion as fu
 from csafm import ops
+from csafm.train import AdamState, adam_step
 
 
 def small_fused(variant=FusionVariant.CSAFM, seed=1, **kw):
@@ -478,6 +479,56 @@ class TestWeightFileBytes:
         path = tmp_path / "w.csafm"
         save(pinned_model(name), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256[name]
+
+
+def conv_weights(m):
+    """(name, array) of every convolution weight of m: all weights but the head's."""
+    return [(name, arr) for name, arr, kind in m.state_entries()
+            if kind == "param" and name.endswith(".weight") and name != "head.weight"]
+
+
+def memory_order(a):
+    """The strides of a's axes longer than 1; an axis of length 1 is never stepped."""
+    return tuple(st for st, d in zip(a.strides, a.shape) if d > 1)
+
+
+class TestConvWeightLayout:
+    """Conv weights are (oc, c, kh, kw) arrays held channels-last in memory,
+    the order conv2d's GEMM reads them, and their grads and Adam moments
+    keep that order. A C-ordered weight would cost a relayout copy per call."""
+
+    @staticmethod
+    def assert_channels_last(m):
+        weights = conv_weights(m)
+        assert weights
+        for name, w in weights:
+            assert w.ndim == 4 and w.transpose(0, 2, 3, 1).flags.c_contiguous, name
+        # stage-2-on and 7x7 attention weights are not C-contiguous (k=1 or c=1 ones are both)
+        assert any(not w.flags.c_contiguous for _, w in weights)
+
+    @pytest.mark.parametrize("kind", ["fused", "fp", "fv"])
+    def test_built_and_loaded_weights_are_channels_last(self, tmp_path, kind):
+        m = small_fused(seed=41) if kind == "fused" else pinned_model(kind)
+        self.assert_channels_last(m)
+        path = tmp_path / "w.csafm"
+        save(m, path)
+        loaded = load(path)
+        self.assert_channels_last(loaded)
+        for (name, a), (_, b) in zip(conv_weights(m), conv_weights(loaded)):
+            assert a.shape == b.shape and np.array_equal(a, b), name
+
+    def test_grads_and_moments_share_the_param_strides(self):
+        m = small_fused(seed=42)
+        fp, fv = batch_images(43, 4)
+        params = m.parameters()
+        loss, _ = ops.softmax_xent(m.forward_batch(fp, fv, "train"), np.array([0, 1, 2, 3]))
+        loss.backward()
+        st = AdamState(lr=0.003)
+        adam_step(params, st)
+        for name, p in params:
+            want = memory_order(p.data)
+            assert memory_order(p.grad) == want, name
+            assert memory_order(st.m[name]) == memory_order(st.v[name]) == want, name
 
 
 class TestWeightFileFuzz:

@@ -17,6 +17,7 @@ from csafm import ops
 from csafm.backbone import CONV_PADS, CONV_STRIDES, KERNELS, POOL_K, POOL_P, POOL_S
 
 from csafm import oracles
+from csafm.gradcheck import numeric_grad
 
 
 def rand_t(rng, dims, scale=1.0, dtype=np.float32, grad=False):
@@ -197,6 +198,41 @@ class TestConvBackward:
         assert grads[0] == grads[1]
 
 
+class TestConvWeightLayouts:
+    """conv2d gives the same bytes for a weight held C-ordered as for the same
+    values held channels-last, as ConvParams.he_init holds them: forward
+    reads the live taps as one (oc, kh*kw*c) matrix either way, and a per-tap
+    (oc, c) slice of either is the same matrix to BLAS."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n,c,h,w,co,k,stride,pad", [
+        (2, 1, 12, 14, 4, 7, 2, 3),   # stage 1 on the image
+        (2, 8, 9, 11, 16, 3, 1, 1),   # a backbone stage
+        (3, 6, 5, 4, 5, 3, 2, 1),     # stride 2
+        (2, 32, 4, 6, 8, 1, 1, 0),    # pointwise
+        *TRIMMED_TAPS.values(),
+    ], ids=["stage1", "stage", "stride2", "pointwise", *TRIMMED_TAPS])
+    def test_c_ordered_and_channels_last_agree(self, n, c, h, w, co, k, stride, pad, dtype):
+        rng = Rng(209)
+        cl = conv_params(rng, c, co, k, stride, pad, dtype=dtype)
+        assert cl.weight.data.transpose(0, 2, 3, 1).flags.c_contiguous
+        cl.bias.data[...] = rand_t(rng, cl.bias.dims, dtype=dtype).data
+        c_ord = ConvParams(Tensor(np.ascontiguousarray(cl.weight.data), requires_grad=True),
+                           Tensor(cl.bias.data.copy(), requires_grad=True), stride, pad)
+        x = rand_t(rng, (n, c, h, w), dtype=dtype)
+        g = None
+        got = []
+        for p in (cl, c_ord):
+            xt = Tensor(x.data.copy(), requires_grad=True)
+            y = ops.conv2d(xt, p)
+            if g is None:
+                g = rand_t(rng, y.dims, dtype=dtype).data
+            y.backward(g)
+            got.append([a.tobytes() for a in (y.data, xt.grad, p.weight.grad, p.bias.grad)])
+        for name, a, b in zip(("out", "dx", "dw", "db"), *got):
+            assert a == b, name
+
+
 class TestTapWindows:
     @pytest.mark.parametrize("s", [1, 2])
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
@@ -249,13 +285,21 @@ class TestIm2col:
         assert np.array_equal(got, oracles.im2col_loops(x, k, stride, pad))
 
     def test_windows_past_the_input_rejected(self):
-        # as_strided checks no bounds, so _windows must refuse a window that overruns
+        # _windows refuses a window that overruns with a DimensionError of its own
         xpl = np.zeros((1, 5, 5, 2), dtype=np.float32)
         assert ops._windows(xpl, 3, 2, 2, 2).shape == (1, 2, 2, 3, 3, 2)
         with pytest.raises(DimensionError):
             ops._windows(xpl, 3, 2, 3, 2)
         with pytest.raises(DimensionError):
             ops._windows(xpl, (3, 4), 1, 3, 3)
+        with pytest.raises(DimensionError):
+            ops._windows(xpl, 3, 2, 2, 2, (0, 1))
+
+    def test_windows_from_an_origin_match_a_sliced_input(self):
+        xpl = np.arange(2 * 7 * 6 * 3, dtype=np.float32).reshape(2, 7, 6, 3)
+        got = ops._windows(xpl, (2, 3), 2, 3, 2, (1, 1))
+        want = ops._windows(np.ascontiguousarray(xpl[:, 1:, 1:]), (2, 3), 2, 3, 2)
+        assert np.array_equal(got, want) and not got.flags.writeable
 
 
 class TestPwconv:
@@ -488,7 +532,8 @@ BN_SHAPES = [(16, 8, 32, 48), (16, 16, 16, 24), (16, 32, 8, 12), (16, 64, 4, 6),
 
 class TestObviousFormsBitIdentical:
     """relu, sigmoid and batchnorm equal the np.where / np.var forms in
-    csafm/oracles.py byte for byte, forward, backward and running stats."""
+    csafm/oracles.py byte for byte, forward, backward and running stats;
+    the maxpool forward equals the running np.maximum there."""
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_relu(self, dtype):
@@ -541,6 +586,29 @@ class TestObviousFormsBitIdentical:
             for name, a, b in zip(("out", "dx", "dgamma", "dbeta", "running_mean",
                                    "running_var"), got, want):
                 same_bits(a, b, f"batchnorm {mode} {shape} {name}")
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_maxpool(self, dtype):
+        """Ties of +-0, NaN payloads of both signs and -inf: the gathered
+        reduce keeps the bytes of the running np.maximum, payloads included."""
+        r = np.random.default_rng(804)
+        bits = np.uint32 if dtype == np.float32 else np.uint64
+        quiet = bits(np.array(np.nan, dtype).view(bits))
+        for dims, k, stride, pad in [(d, POOL_K, POOL_S, POOL_P) for d in POOL_SHAPES] + [
+                ((2, 3, 7, 8), 2, 1, 0), ((2, 3, 9, 7), 3, 1, 1), ((1, 2, 9, 9), 4, 3, 2)]:
+            x = r.integers(-2, 3, dims).astype(dtype)  # small integers: many ties
+            x[(x == 0) & (r.random(dims) < 0.5)] = -0.0
+            x[r.random(dims) < 0.02] = -np.inf
+            nan = r.random(dims) < 0.05
+            payload = quiet | r.integers(1, 1 << 20, nan.sum()).astype(bits)
+            sign = bits(1) << bits(8 * x.itemsize - 1)
+            payload[r.random(payload.size) < 0.5] |= sign
+            x.view(bits)[nan] = payload
+            got = ops.maxpool2d(Tensor(x), k, stride, pad).data
+            want = oracles.maxpool_chain(x, k, stride, pad)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (dims, k, stride, pad)
+            assert np.isnan(got).any() and np.signbit(got[np.isnan(got)]).any()
 
 
 # maxpool inputs of backbone stages 1-4 on the train_gate task (fp 64x96 and
@@ -694,6 +762,24 @@ class TestSoftmaxXent:
                                   (2, 3, 1, 1), dtype=np.float64)
         loss, _ = ops.softmax_xent(logits, np.array([0, 1]))
         assert np.isfinite(loss.item())
+
+
+class TestNumericGrad:
+    def test_probes_reach_a_transposed_view(self):
+        """numeric_grad perturbs the tensor itself: a non-contiguous float64
+        parameter, as a channels-last conv weight is, gets every probe, and
+        its values come back unchanged."""
+        buf = np.random.default_rng(806).standard_normal((2, 3, 3, 4))
+        x = Tensor(buf.transpose(0, 3, 1, 2), requires_grad=True)
+        assert not x.data.flags.c_contiguous
+        kept = x.data.copy()
+        idx, num = numeric_grad(lambda: ops.mean_all(ewise_mul(x, x)), x)
+        want = (2.0 * kept / kept.size).reshape(-1)[idx]
+        assert idx.size == kept.size
+        assert np.max(np.abs(num - want)) <= 1e-8
+        assert np.array_equal(x.data, kept)
+        errs = check_gradients(lambda: ops.mean_all(ewise_mul(x, x)), [("x", x)], sample=10)
+        assert errs["x"] < 1e-6
 
 
 class TestConvParamsInit:
