@@ -7,6 +7,7 @@ path runs through identical code.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -217,13 +218,16 @@ def _live_taps(k: int, s: int, pad: int, size: int, o: int) -> tuple[int, int]:
     return max(0, pad - s * (o - 1)), min(k, pad + size)
 
 
-def _tap_windows(k: int, s: int, pad: int, size: int, o: int) -> list[tuple[int, slice, slice]]:
+@functools.lru_cache(maxsize=1024)
+def _tap_windows(k: int, s: int, pad: int, size: int, o: int) -> tuple[tuple[int, slice, slice], ...]:
     """(t, outputs, inputs) along one axis for each kernel offset t that reads the input.
 
     Output y reads input cell s*y + t - pad, which lies in [0, size) for
     ceil((pad - t)/s) <= y <= (size - 1 + pad - t)//s. `outputs` is that
     window and `inputs` the cells it reads. An offset whose window is empty
-    reads only padding and is left out.
+    reads only padding and is left out. A model has a handful of conv
+    geometries, so the tuples are cached: building one took 4-7 us, as
+    much as a tap's GEMM at batch 1.
     """
     taps = []
     for t in range(k):
@@ -231,36 +235,51 @@ def _tap_windows(k: int, s: int, pad: int, size: int, o: int) -> list[tuple[int,
         if lo < hi:
             first = s * lo + t - pad
             taps.append((t, slice(lo, hi), slice(first, first + s * (hi - lo - 1) + 1, s)))
-    return taps
+    return tuple(taps)
 
 
 def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     """Cross-correlation with zero padding and per-channel bias.
 
-    Forward is one im2col GEMM (Chellapilla et al. 2006): the patch matrix
-    (n*oh*ow, kh*kw*c) times the weight as (oc, kh*kw*c), transposed. The
-    patch matrix is built from a channels-last padded input with columns
-    in (i, j, c) order, so each window row it copies is one run of kw*c
-    contiguous floats rather than c runs of kw. The GEMM therefore sums
-    over K in (i, j, c) order, and the forward output differs in the last
-    bits from a (c, i, j) patch matrix. A weight from ConvParams.he_init
-    is held in that (oc, i, j, c) order, so with every tap live the GEMM
-    reads it in place, where a per-call relayout copy took 193 us of a
-    2.4 ms batch-1 gate forward. At c = 1 (stage 1 on the grayscale
-    image) a window row is only kw floats long, so the matrix is built
-    tap-major instead, as (kh*kw, n*oh*ow) in one copy of long rows, and
-    the weight multiplies it from the left. That GEMM sums the same
-    products in the same order: outputs and trained weights keep their
-    bits, and the stage-1 forward fell from 3.5 to 2.2 ms at batch 16 on
-    64x96 images (median of 60 calls, BLAS at 1 thread, 2-vCPU VM).
+    Forward takes one of three forms, picked by the conv's shape alone:
 
-    Only the live taps take part: the kernel rows [i0, i1) and columns
-    [j0, j1) that can read the input (_live_taps). A tap outside them
-    multiplies padding zeros at every output pixel, as the 7x7, pad-3
-    attention convolutions do on a 3x7 or 1x2 fused map; on the backbone
-    every tap is live. The forward GEMM sums fewer zero terms, and its K
-    blocking moves with K, so where taps are trimmed the output moves in
-    the last bits.
+    - c > oc, a conv that narrows its channels (the attention blocks'
+      conv1 and pw1, 512->32 at the paper's width): one GEMM per live tap
+      (i, j), the shifted form backward uses. Each tap adds its (m, c)
+      input cells times w[:, :, i, j].T, (c, oc), into a zeroed
+      channels-last output, over only the outputs whose read at that tap
+      lands inside the input (_tap_windows), in row-major tap order, so
+      the bits repeat from run to run. No patch matrix is built, as in
+      memory-efficient convolution (Cho & Brand 2017): for the 512->32
+      conv on the paper's 3x7 map at batch 16 it was a 24 MB copy, 55% of
+      whose products read padding, and the forward fell from 12.1 to
+      5.3 ms. At batch 1 a tap's GEMM has one or two rows, and the loop's
+      few us per tap show: the gate task's 64->16 conv on its 1x2 map
+      (three live taps) went from 31 to 38 us, and its pw1 from 21 to 17.
+    - c = 1 (stage 1 on the grayscale image): a tap-major im2col GEMM, as
+      below but with the matrix built as (kh*kw, n*oh*ow) in one copy of
+      long rows, since a window row is only kw floats long, and the
+      weight multiplying it from the left. That GEMM sums the same
+      products in the same order as the pixel-major one; the stage-1
+      forward fell from 3.5 to 2.2 ms at batch 16 on 64x96 images.
+    - otherwise (every other backbone conv, and the attention's widening
+      conv2, where per tap measured even): one im2col GEMM (Chellapilla
+      et al. 2006), the patch matrix (n*oh*ow, kh*kw*c) times the weight
+      as (oc, kh*kw*c), transposed. The patch matrix is built from a
+      channels-last padded input with columns in (i, j, c) order, so each
+      window row it copies is one run of kw*c contiguous floats rather
+      than c runs of kw, and the GEMM sums over K in (i, j, c) order. A
+      weight from ConvParams.he_init is held in that (oc, i, j, c) order,
+      so with every tap live the GEMM reads it in place, where a per-call
+      relayout copy took 193 us of a 2.4 ms batch-1 gate forward.
+
+    Timings are medians at BLAS 1 thread on a 2-vCPU VM. The im2col forms
+    use only the live taps: the kernel rows [i0, i1) and columns [j0, j1)
+    that can read the input (_live_taps). A tap outside them multiplies
+    padding zeros at every output pixel, as the 7x7, pad-3 attention
+    convolutions do on a 3x7 or 1x2 fused map; on the backbone every tap
+    is live. The GEMM sums fewer zero terms, and its K blocking moves
+    with K, so where taps are trimmed the output moves in the last bits.
 
     Backward is one GEMM per tap (i, j) that reads the input, the shifted
     GEMM form of convolution (Vasudevan et al. 2017), over only the
@@ -269,7 +288,8 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     input cells it reads, dw[i, j] = gs.T xw and dx[cells] += gs w[:, :, i, j],
     added in row-major tap order into an unpadded channels-last dx. Of a
     channels-last weight, w[:, :, i, j] is an (oc, c) matrix with unit
-    inner stride, which BLAS reads without a copy. dw is built in a +0
+    inner stride; np.dot still copies it, as it does any operand that is
+    not contiguous, into a C-ordered (oc, c) matrix. dw is built in a +0
     (oc, kh, kw, c) buffer, so a tap that reads only padding keeps +0, and
     handed over as its (oc, c, kh, kw) transpose: the grad has the strides
     of a he_init weight, and so do Adam's moments. At
@@ -301,31 +321,47 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
             f"kernel {k}, stride {s}, pad {pad}"
         )
     oc = p.out_c
-    i0, i1 = _live_taps(k, s, pad, h, oh)
-    j0, j1 = _live_taps(k, s, pad, w, ow)
-    kh, kw = i1 - i0, j1 - j0
 
     # np.dot, not @, and g_oc and g_cl as copies: BLAS picks its kernel by
     # layout and shape, and the kernels sum in different orders, so another
     # layout of the backward operands changes the low bits of dw and dx.
     # w_l is the weight as (oc, kh, kw, c): a view of a he_init weight, a copy
     # of a C-ordered one. Both layouts then give the GEMMs the same operands,
-    # whose layout sets the low bits. w_cl, its live taps as a matrix, is a
-    # view too unless columns are trimmed from more than one row. Those
-    # copies come before the padded input: in the other order glibc kept
-    # more heap, and the fusion_paper benchmark peaked 3.9 MiB higher
+    # whose layout sets the low bits. It comes before the input copies: in
+    # the other order glibc kept more heap, and the fusion_paper benchmark
+    # peaked 3.9 MiB higher
     w_l = np.ascontiguousarray(p.weight.data.transpose(0, 2, 3, 1))
-    w_cl = w_l[:, i0:i1, j0:j1].reshape(oc, kh * kw * c)
-    xpl = _pad_cl(x.data, pad)
-    win = _windows(xpl, (kh, kw), s, oh, ow, (i0, j0))
-    if c == 1:
-        # tap-major (kh*kw, n*oh*ow): one copy of rows n*oh*ow long, where the
-        # pixel-major matrix copies rows of kw floats; the same sums come out
-        col_t = win.transpose(3, 4, 5, 0, 1, 2).reshape(kh * kw, n * oh * ow)
-        out = np.dot(w_cl, col_t).reshape(oc, n, oh, ow).transpose(1, 0, 2, 3)
+    if c > oc:
+        # per tap: each live tap adds its (m, c) input cells times its (c, oc)
+        # weight w_l[:, i, j].T into the outputs that read them, in row-major
+        # tap order. np.dot copies that strided operand into a C-ordered
+        # matrix; one copy of all taps was slower below a few taps
+        w_t = w_l.transpose(1, 2, 3, 0)
+        x_cl = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1))
+        out_cl = np.zeros((n, oh, ow, oc), dtype=x.data.dtype)
+        cols = _tap_windows(k, s, pad, w, ow)
+        for i, oy, iy in _tap_windows(k, s, pad, h, oh):
+            for j, ox, ix in cols:
+                o = out_cl[:, oy, ox]
+                o += np.dot(x_cl[:, iy, ix].reshape(-1, c), w_t[i, j]).reshape(o.shape)
+        out = out_cl.transpose(0, 3, 1, 2)
     else:
-        out = np.dot(win.reshape(n * oh * ow, kh * kw * c), w_cl.T)
-        out = out.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2)
+        # w_cl, the live taps as a matrix, is a view unless columns are
+        # trimmed from more than one row
+        i0, i1 = _live_taps(k, s, pad, h, oh)
+        j0, j1 = _live_taps(k, s, pad, w, ow)
+        kh, kw = i1 - i0, j1 - j0
+        w_cl = w_l[:, i0:i1, j0:j1].reshape(oc, kh * kw * c)
+        xpl = _pad_cl(x.data, pad)
+        win = _windows(xpl, (kh, kw), s, oh, ow, (i0, j0))
+        if c == 1:
+            # tap-major (kh*kw, n*oh*ow): one copy of rows n*oh*ow long, where the
+            # pixel-major matrix copies rows of kw floats; the same sums come out
+            col_t = win.transpose(3, 4, 5, 0, 1, 2).reshape(kh * kw, n * oh * ow)
+            out = np.dot(w_cl, col_t).reshape(oc, n, oh, ow).transpose(1, 0, 2, 3)
+        else:
+            out = np.dot(win.reshape(n * oh * ow, kh * kw * c), w_cl.T)
+            out = out.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2)
     out = np.ascontiguousarray(out)
     out += p.bias.data
 
@@ -339,16 +375,17 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
             dw[:, i0:i1, j0:j1] = dw_live.reshape(oc, kh, kw, c)
         if c > 1 or x.requires_grad:
             # g_cl (n, oh, ow, oc) is cut to each tap's output window, and
-            # x_cl and dx (n, h, w, c) to the input cells that window reads
+            # xs, the unpadded channels-last input, and dx (n, h, w, c) to
+            # the input cells that window reads
             g_cl = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
-            x_cl = xpl[:, pad : pad + h, pad : pad + w]
+            xs = x_cl if c > oc else xpl[:, pad : pad + h, pad : pad + w]
             dx = np.zeros((n, h, w, c), dtype=g.dtype) if x.requires_grad else None
             cols = _tap_windows(k, s, pad, w, ow)
             for i, oy, iy in _tap_windows(k, s, pad, h, oh):
                 for j, ox, ix in cols:
                     gs = g_cl[:, oy, ox].reshape(-1, oc)
                     if c > 1:
-                        dw[:, i, j] = np.dot(gs.T, x_cl[:, iy, ix].reshape(-1, c))
+                        dw[:, i, j] = np.dot(gs.T, xs[:, iy, ix].reshape(-1, c))
                     if dx is not None:
                         dx_win = dx[:, iy, ix]
                         dx_win += np.dot(gs, w_l[:, i, j]).reshape(dx_win.shape)

@@ -14,7 +14,12 @@ def out_size(size, k, stride, pad):
 
 
 def conv2d_loops(x, w, b, stride, pad):
-    """Six-loop cross-correlation. x (n,c,h,w), w (co,c,k,k), b (co,)."""
+    """Six-loop cross-correlation. x (n,c,h,w), w (co,c,k,k), b (co,).
+
+    The loops read nested lists of python floats: the same float64
+    products and sums, in the same order, as on numpy scalars, in about
+    a sixth of the time.
+    """
     n, c, h, wd = x.shape
     co, ci, k, k2 = w.shape
     if ci != c or k != k2:  # not assert: python -O would drop it
@@ -23,6 +28,9 @@ def conv2d_loops(x, w, b, stride, pad):
     ow = out_size(wd, k, stride, pad)
     xp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=np.float64)
     xp[:, :, pad:pad + h, pad:pad + wd] = x
+    xp = xp.tolist()
+    wl = np.asarray(w, dtype=np.float64).tolist()
+    bl = np.asarray(b, dtype=np.float64).tolist()
     out = np.zeros((n, co, oh, ow), dtype=np.float64)
     for ni in range(n):
         for oi in range(co):
@@ -31,10 +39,10 @@ def conv2d_loops(x, w, b, stride, pad):
                     acc = 0.0
                     for ci_ in range(c):
                         for ky in range(k):
+                            row, wrow = xp[ni][ci_][yi * stride + ky], wl[oi][ci_][ky]
                             for kx in range(k):
-                                acc += (xp[ni, ci_, yi * stride + ky, xi * stride + kx]
-                                        * w[oi, ci_, ky, kx])
-                    out[ni, oi, yi, xi] = acc + b[oi]
+                                acc += row[xi * stride + kx] * wrow[kx]
+                    out[ni, oi, yi, xi] = acc + bl[oi]
     return out
 
 
@@ -239,3 +247,30 @@ def nearest_centroid(train_x, train_y, test_x):
     cents = np.stack([train_x[train_y == c].mean(axis=0) for c in range(classes)])
     d = ((test_x[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
     return d.argmin(axis=1)
+
+
+def box_muller(seed, counter, n, mu=0.0, sigma=1.0):
+    """Rng(seed).normal(n, mu, sigma) after `counter` draws, in one shot:
+    the splitmix64 draws counter+1 .. counter+2p for p = (n+1)//2 pairs,
+    u1 from the first p and u2 from the next p, and every value scaled at
+    once. Returns the n values and the counter after them."""
+    mask = (1 << 64) - 1
+    gamma = np.uint64(0x9E3779B97F4A7C15)
+
+    def draws(first, count):
+        idx = np.arange(first, first + count, dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            z = np.uint64(seed & mask) + idx * gamma
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    pairs = (n + 1) // 2
+    u1 = ((draws(counter + 1, pairs) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    u2 = (draws(counter + 1 + pairs, pairs) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = (2.0 * np.pi) * u2
+    z = np.empty(2 * pairs, dtype=np.float64)
+    z[0::2] = r * np.cos(theta)
+    z[1::2] = r * np.sin(theta)
+    return mu + sigma * z[:n], counter + 2 * pairs

@@ -247,6 +247,7 @@ def one_minus(a: Tensor) -> Tensor:
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+NORMAL_BLOCK = 8192  # Box-Muller pairs Rng.normal makes at a time
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -290,12 +291,17 @@ class Rng:
         self.seed = seed & _MASK64
         self.counter = 0
 
-    def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=_U64)
-        self.counter += n
+    def _draws(self, first: int, n: int) -> np.ndarray:
+        """Raw draws first, ..., first + n - 1; the counter is not moved."""
+        idx = np.arange(first, first + n, dtype=_U64)
         with np.errstate(over="ignore"):
             states = _U64(self.seed) + idx * _U64(_GAMMA)
             return _mix64(states)
+
+    def _raw(self, n: int) -> np.ndarray:
+        out = self._draws(self.counter + 1, n)
+        self.counter += n
+        return out
 
     def uniform(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         """n float64 samples from U[lo, hi)."""
@@ -305,18 +311,36 @@ class Rng:
         return lo + (hi - lo) * u
 
     def normal(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
-        """n float64 samples from N(mu, sigma^2) via Box-Muller."""
+        """n float64 samples from N(mu, sigma^2) via Box-Muller.
+
+        Pair k of the (n + 1) // 2 pairs takes u1 from draw counter + 1 + k
+        and u2 from draw counter + pairs + 1 + k, and gives values 2k and
+        2k + 1 (the last is dropped when n is odd). The pairs are made and
+        scaled in place in blocks of NORMAL_BLOCK, so the temporaries stay
+        at a few hundred KiB: one-shot float64 temporaries of a large He
+        weight page-faulted fresh mmaps on every setup. Every value is the
+        same elementwise expression of the same draws as in one shot
+        (oracles.box_muller), so the bytes and the counter do not depend on
+        the block size.
+        """
         if sigma < 0:
             raise ParameterError(f"normal needs sigma >= 0, got {sigma}")
         pairs = (n + 1) // 2
-        u1 = ((self._raw(pairs) >> _U64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (self._raw(pairs) >> _U64(11)).astype(np.float64) * 2.0**-53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * math.pi) * u2
-        z = np.empty(2 * pairs, dtype=np.float64)
-        z[0::2] = r * np.cos(theta)
-        z[1::2] = r * np.sin(theta)
-        return mu + sigma * z[:n]
+        z = np.empty(n, dtype=np.float64)
+        for k0 in range(0, pairs, NORMAL_BLOCK):
+            k1 = min(k0 + NORMAL_BLOCK, pairs)
+            first = self.counter + 1 + k0
+            u1 = ((self._draws(first, k1 - k0) >> _U64(11)).astype(np.float64) + 1.0) * 2.0**-53
+            u2 = (self._draws(first + pairs, k1 - k0) >> _U64(11)).astype(np.float64) * 2.0**-53
+            r = np.sqrt(-2.0 * np.log(u1))
+            theta = (2.0 * math.pi) * u2
+            block = z[2 * k0 : min(2 * k1, n)]
+            block[0::2] = r * np.cos(theta)
+            block[1::2] = (r * np.sin(theta))[: block.size // 2]
+            block *= sigma
+            block += mu
+        self.counter += 2 * pairs
+        return z
 
     def below(self, bound: int) -> int:
         """One integer in [0, bound)."""

@@ -1,3 +1,6 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -46,6 +49,26 @@ TRIMMED_TAPS = {
 }
 
 
+# (n, c, h, w, co, k, stride, pad) shapes with c > co, on which conv2d's
+# forward runs one GEMM per live tap
+NARROWING = {
+    "paper_3x7_narrowing": (2, 512, 3, 7, 32, 7, 1, 3),  # the paper's 512->32 attention conv
+    "narrowing_stride2_dead_tap": (2, 6, 1, 3, 4, 3, 2, 2),  # kernel row 1 reads only padding
+    "narrowing_k1": (2, 24, 3, 5, 6, 1, 1, 0),  # pointwise, as the channel attention's pw1
+}
+
+
+@functools.lru_cache(maxsize=None)
+def narrowing_case(name):
+    """float64 input, weight and bias of NARROWING[name], and their loop-oracle output."""
+    n, c, h, w, co, k, stride, pad = NARROWING[name]
+    rng = Rng(103)
+    x = rng.normal(n * c * h * w).reshape(n, c, h, w)
+    wt = rng.normal(co * c * k * k, 0.0, float(np.sqrt(2.0 / (c * k * k)))).reshape(co, c, k, k)
+    b = rng.normal(co, 0.0, 0.1)
+    return x, wt, b, oracles.conv2d_loops(x, wt, b, stride, pad)
+
+
 class TestConvForward:
     def test_matches_loop_oracle_random_geometries(self):
         rng = Rng(101)
@@ -82,6 +105,35 @@ class TestConvForward:
             p.bias.data.reshape(-1).astype(np.float64), stride, pad)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-5 * max(1.0, float(np.max(np.abs(want))))
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("name", NARROWING)
+    def test_narrowing_matches_loop_oracle(self, name, dtype, tol):
+        # the float32 run reads the oracle's inputs rounded to float32, an
+        # error far inside tol
+        x, wt, b, want = narrowing_case(name)
+        stride, pad = NARROWING[name][6:]
+        p = ConvParams(Tensor(wt.astype(dtype), requires_grad=True),
+                       Tensor(b.astype(dtype).reshape(1, -1, 1, 1), requires_grad=True),
+                       stride, pad)
+        got = ops.conv2d(Tensor(x.astype(dtype)), p).data
+        assert got.dtype == dtype and got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= tol * max(1.0, float(np.max(np.abs(want))))
+
+    def test_narrowing_forward_builds_no_patch_matrix(self):
+        # paper shape, batch 16: the (16*3*7, 5*7*512) float32 patch matrix of
+        # the live taps would take 24.1 MB
+        rng = Rng(104)
+        x = rand_t(rng, (16, 512, 3, 7))
+        p = conv_params(rng, 512, 32, 7, 1, 3, dtype=np.float32)
+        patch_bytes = 16 * 3 * 7 * 5 * 7 * 512 * 4
+        tracemalloc.start()
+        try:
+            ops.conv2d(x, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < patch_bytes / 4, peak
 
     def test_known_tiny_case(self):
         # 1x1 input, k=1: conv is just w*x + b
@@ -211,7 +263,8 @@ class TestConvWeightLayouts:
         (3, 6, 5, 4, 5, 3, 2, 1),     # stride 2
         (2, 32, 4, 6, 8, 1, 1, 0),    # pointwise
         *TRIMMED_TAPS.values(),
-    ], ids=["stage1", "stage", "stride2", "pointwise", *TRIMMED_TAPS])
+        *NARROWING.values(),
+    ], ids=["stage1", "stage", "stride2", "pointwise", *TRIMMED_TAPS, *NARROWING])
     def test_c_ordered_and_channels_last_agree(self, n, c, h, w, co, k, stride, pad, dtype):
         rng = Rng(209)
         cl = conv_params(rng, c, co, k, stride, pad, dtype=dtype)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,9 @@ from csafm import (
     sigmoid,
     softmax_xent,
 )
+from csafm import oracles
 from csafm.ops import he_fc
+from csafm.tensor import NORMAL_BLOCK
 
 
 class TestTensorBasics:
@@ -255,6 +259,31 @@ class TestRng:
         assert abs(z.mean()) < 0.01
         assert abs(z.std() - 1.0) < 0.01
         assert abs((z ** 3).mean()) < 0.05
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.0])
+    def test_normal_blocks_match_one_shot_bytes(self, sigma):
+        # n on either side of a block's 2 * NORMAL_BLOCK values, and the size
+        # of the largest He weight (512x512x3x3)
+        b = NORMAL_BLOCK
+        for n in (0, 1, 2 * b - 1, 2 * b, 2 * b + 1, 802816):
+            r = Rng(23)
+            r.uniform(5)  # normal draws from where the counter stands
+            got = r.normal(n, 0.25, sigma)
+            want, counter = oracles.box_muller(23, 5, n, 0.25, sigma)
+            assert got.dtype == np.float64 and got.shape == (n,)
+            assert got.tobytes() == want.tobytes(), n
+            assert r.counter == counter, n
+
+    def test_normal_peak_memory_near_its_output(self):
+        # one-shot draws held four float64 temporaries of the output's size
+        n = 802816
+        tracemalloc.start()
+        try:
+            Rng(3).normal(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n, peak
 
     def test_below_bounds_and_determinism(self):
         r = Rng(9)

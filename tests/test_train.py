@@ -26,6 +26,7 @@ from csafm import (
     predict,
     train_loop,
 )
+from csafm.backbone import feature_shape
 from csafm.cli import train_and_write
 
 
@@ -328,6 +329,14 @@ TRAINED_SHA256 = {
 }
 
 
+# The same, for CSAFM on 24x72 fp and 20x72 fv images: their fused map is
+# 1x2, so the 7x7 spatial-attention convs have three live taps each, where
+# the 24x24/20x20 maps above fuse to 1x1 and leave one.
+TRAINED_SHA256_1X2_MAP = (
+    "0d21ec7cd8686a91f10b957fb4dda5e187e57ba87faba5db597328ddd1be06be",
+    "96aa2f9e463c23b5fd6af19cc46c3e63f09d4ec0568e04ca3920e1d7f584883e")
+
+
 class TestTrainedBits:
     @pytest.mark.parametrize("name", list(TRAINED_SHA256))
     def test_three_epochs_train_pinned_bytes(self, config_file, name):
@@ -342,3 +351,13 @@ class TestTrainedBits:
         got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
                     for f in ("weights.csafm", "history.csv"))
         assert got == TRAINED_SHA256[name]
+
+    def test_three_epochs_on_a_1x2_map_pinned_bytes(self, config_file):
+        _, cfg = config_file(epochs=3)
+        cfg["dataset"]["synth"].update(fp_size=[24, 72], fv_size=[20, 72])
+        assert feature_shape(24, 72, 0.125)[1:] == feature_shape(20, 72, 0.125)[1:] == (1, 2)
+        train_and_write(RunConfig.from_dict(cfg), quiet=True)
+        out = Path(cfg["out_dir"])
+        got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                    for f in ("weights.csafm", "history.csv"))
+        assert got == TRAINED_SHA256_1X2_MAP
