@@ -127,27 +127,39 @@ def maxpool_backward_loops(x, g, k, stride, pad):
 
 
 def conv2d_backward_loops(x, w, g, stride, pad):
-    """dx, dw, db of conv2d_loops for upstream gradient g, summed in float64."""
+    """dx, dw, db of conv2d_loops for upstream gradient g, summed in float64.
+
+    Like conv2d_loops, the loops read and update nested lists of python
+    floats: the same float64 products and sums, in the same order, as on
+    numpy scalars, in a fraction of the time.
+    """
     n, c, h, wd = x.shape
     co, _, k, _ = w.shape
     xp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=np.float64)
     xp[:, :, pad:pad + h, pad:pad + wd] = x
-    dxp = np.zeros_like(xp)
-    dw = np.zeros(w.shape, dtype=np.float64)
-    db = np.zeros(co, dtype=np.float64)
+    dxp = np.zeros_like(xp).tolist()
+    dw = np.zeros(w.shape, dtype=np.float64).tolist()
+    db = [0.0] * co
+    xp = xp.tolist()
+    wl = np.asarray(w, dtype=np.float64).tolist()
+    gl = np.asarray(g, dtype=np.float64).tolist()
     for ni in range(n):
         for oi in range(co):
             for yi in range(g.shape[2]):
                 for xi in range(g.shape[3]):
-                    gv = float(g[ni, oi, yi, xi])
+                    gv = gl[ni][oi][yi][xi]
                     db[oi] += gv
                     for ci in range(c):
                         for ky in range(k):
+                            r = yi * stride + ky
+                            xrow, dxrow = xp[ni][ci][r], dxp[ni][ci][r]
+                            dwrow, wrow = dw[oi][ci][ky], wl[oi][ci][ky]
                             for kx in range(k):
-                                r, q = yi * stride + ky, xi * stride + kx
-                                dw[oi, ci, ky, kx] += gv * xp[ni, ci, r, q]
-                                dxp[ni, ci, r, q] += gv * w[oi, ci, ky, kx]
-    return dxp[:, :, pad:pad + h, pad:pad + wd], dw, db
+                                q = xi * stride + kx
+                                dwrow[kx] += gv * xrow[q]
+                                dxrow[q] += gv * wrow[kx]
+    dxp = np.array(dxp, dtype=np.float64)
+    return dxp[:, :, pad:pad + h, pad:pad + wd], np.array(dw, dtype=np.float64), np.array(db)
 
 
 def relu_where(x, g):

@@ -69,6 +69,35 @@ def narrowing_case(name):
     return x, wt, b, oracles.conv2d_loops(x, wt, b, stride, pad)
 
 
+# (n, c, h, w, co, k, stride, pad) at stride 1 with the kernel taller than
+# the map, where conv2d's backward, and its forward unless c = co, runs one
+# GEMM per live kernel row: c > co, c < co and c = co
+ROWS = {
+    "paper_3x7_narrowing": NARROWING["paper_3x7_narrowing"],
+    "paper_3x7_widening": (2, 32, 3, 7, 512, 7, 1, 3),  # the paper's 32->512 attention conv
+    "gate_1x2_narrowing": (2, 64, 1, 2, 16, 7, 1, 3),  # the gate task's attention convs
+    "gate_1x2_widening": (2, 16, 1, 2, 64, 7, 1, 3),
+    "map_2x3_k3": (2, 64, 2, 3, 64, 3, 1, 1),  # backbone stage 5 on the gate task
+}
+
+
+@functools.lru_cache(maxsize=None)
+def rows_case(name):
+    """float64 input, weight, bias and output gradient of ROWS[name], and the
+    loop oracles' out, dx, dw and db; a NARROWING shape reuses its inputs."""
+    n, c, h, w, co, k, stride, pad = ROWS[name]
+    rng = Rng(105)
+    if name in NARROWING:
+        x, wt, b, out = narrowing_case(name)
+    else:
+        x = rng.normal(n * c * h * w).reshape(n, c, h, w)
+        wt = rng.normal(co * c * k * k, 0.0, float(np.sqrt(2.0 / (c * k * k)))).reshape(co, c, k, k)
+        b = rng.normal(co, 0.0, 0.1)
+        out = oracles.conv2d_loops(x, wt, b, stride, pad)
+    g = rng.normal(out.size).reshape(out.shape)
+    return (x, wt, b, g, (out, *oracles.conv2d_backward_loops(x, wt, g, stride, pad)))
+
+
 class TestConvForward:
     def test_matches_loop_oracle_random_geometries(self):
         rng = Rng(101)
@@ -206,6 +235,24 @@ class TestConvBackward:
             assert np.max(np.abs(got - want)) <= tol * scale, name
 
 
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("name", ROWS)
+    def test_rows_match_loop_oracles(self, name, dtype, tol):
+        # the float32 run reads the oracles' inputs rounded to float32, an
+        # error far inside tol
+        x, wt, b, g, want = rows_case(name)
+        stride, pad = ROWS[name][6:]
+        xt = Tensor(x.astype(dtype), requires_grad=True)
+        p = ConvParams(Tensor(wt.astype(dtype), requires_grad=True),
+                       Tensor(b.astype(dtype).reshape(1, -1, 1, 1), requires_grad=True),
+                       stride, pad)
+        y = ops.conv2d(xt, p)
+        y.backward(g.astype(dtype))
+        got = (y.data, xt.grad, p.weight.grad, p.bias.grad.reshape(-1))
+        for label, a, ref in zip(("out", "dx", "dw", "db"), got, want):
+            assert a.dtype == dtype and a.shape == ref.shape, label
+            assert np.max(np.abs(a - ref)) <= tol * max(1.0, float(np.max(np.abs(ref)))), label
+
     def test_dead_tap_weight_grads_are_positive_zero(self):
         # 7x7, pad 3 on a 2x3 map: kernel rows 2..4 and columns 1..5 read the input
         rng = Rng(206)
@@ -252,9 +299,9 @@ class TestConvBackward:
 
 class TestConvWeightLayouts:
     """conv2d gives the same bytes for a weight held C-ordered as for the same
-    values held channels-last, as ConvParams.he_init holds them: forward
-    reads the live taps as one (oc, kh*kw*c) matrix either way, and a per-tap
-    (oc, c) slice of either is the same matrix to BLAS."""
+    values held channels-last, as ConvParams.he_init holds them: every form
+    reads its GEMM operands from the same contiguous (oc, kh, kw, c) array,
+    a view of the channels-last weight and a copy of the C-ordered one."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n,c,h,w,co,k,stride,pad", [
@@ -264,7 +311,9 @@ class TestConvWeightLayouts:
         (2, 32, 4, 6, 8, 1, 1, 0),    # pointwise
         *TRIMMED_TAPS.values(),
         *NARROWING.values(),
-    ], ids=["stage1", "stage", "stride2", "pointwise", *TRIMMED_TAPS, *NARROWING])
+        *(ROWS[name] for name in ROWS if name not in NARROWING),
+    ], ids=["stage1", "stage", "stride2", "pointwise", *TRIMMED_TAPS, *NARROWING,
+            *(name for name in ROWS if name not in NARROWING)])
     def test_c_ordered_and_channels_last_agree(self, n, c, h, w, co, k, stride, pad, dtype):
         rng = Rng(209)
         cl = conv_params(rng, c, co, k, stride, pad, dtype=dtype)

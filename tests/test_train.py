@@ -308,24 +308,24 @@ class TestHistoryCsv:
 # the seven fusion variants and both unimodal baselines. A speed-up that
 # keeps the arithmetic keeps these digests, at one BLAS thread or two.
 TRAINED_SHA256 = {
-    "CSAFM": ("4c44387732446aeeaba251546f953ae16529328d5b6025fbb15539825745e54e",
-             "db9b3eb28305c3d8fd7d6a332d95ee5eb4d335b8732296903f3a8c09cc5eb416"),
-    "CHANNEL_ONLY": ("4968e6f43e566c628b59120e293e416a45c3ef95c752f0285384e70ccdb256d3",
-                    "8803a7d5a0891278245aad875369b31e2426b1f97719463081071d81418d6fb0"),
-    "SPATIAL_ONLY": ("3e1bae2b16f39f84bd9bc2f698f4c3bc339b0dea9de65538059b587de272f149",
-                    "6e5107baf4c8e52adfe5775bbca3ccc74a36b64d0fee81d143d47f0c49d6270f"),
-    "PARALLEL_CS": ("dfbc14433014e9ddd6b6a30039bfa4d52aa742c3fdc266bbd7c7f8746b6c6538",
-                   "9b7f75a6ae56070213105c1ceb163082f3493808d0bbe9715a9ea271c495607d"),
-    "SEQ_SC": ("f1e76ee638ca94f8e2eb75d32cf9bc8ad4d3de645cdd7e5df003cb577a281219",
-              "e349a3fd851beaf3cfe1b0fd302c8c3ec6c38cbf9cc75678ef01a298cd33e7df"),
-    "SERIAL_SUM": ("69490cd3f852f6bcf7d4adaba6f45fd93aded3b7660ee2125fe654374e5366fb",
-                  "148d6968e04fe9a412e0aa7bb6c86198b996a631cbf77fb91cd64750a222fae9"),
-    "PARALLEL_CONCAT": ("b2753549985710e89fae29643261e8a14754006d4fec4e354a0089530c6ef2b2",
-                       "3ab1c1b13d261a25a65dd2b8e199c0cd81f329114bb75e7ec178d2d5ed8e4d0b"),
-    "fp": ("f06d4da49752d88a828736461b6c5ac3fc769afc57c777c5e78a513e2c1fb10e",
-          "3da14f7cdddf8260472bf66c7ce9886754334ba3bb1a87ea4e7fbcffd6186089"),
-    "fv": ("124edbd0c62d74e6bd5aa038d5cf1a1c8766273a1e54a87a65e3ec2ccc0a9875",
-          "0ef7057d2b4e002151845f090db8844b935259d383d4d7a94b3e564a9106318f"),
+    "CSAFM": ("e9599b9ae2a50a4b86033b711db8ca65ddef002ccf95ea92e31c2df8b0013126",
+             "fa9d0f5b38feed5b0048314e54189b3941c790aeebd8b821eddf32cdb13b6cb4"),
+    "CHANNEL_ONLY": ("29513540f5692a7b6d84c85a02623ffbfa5329500dda4edeb23a3b6d0a30b6a3",
+                    "1e6dfd6b87f34e1529bfb34621195163291cb2cb1017e65a540133b180722218"),
+    "SPATIAL_ONLY": ("1db70d55df558170eaf68fa3754c52a9f50250ba5dc826a535c03f317eb297b5",
+                    "100237a2dddf927a6a19dd32d2f6c72aeb274a88ab8b8b939e1794ce79cf9522"),
+    "PARALLEL_CS": ("ac6bc168465a111425f259c7e981528e3af5ad9c33b6a732b262f8d01af36468",
+                   "7710734132ca0ceb68a822fdc097511b0d7a3a6e70ee85eed6c1c4564fdac855"),
+    "SEQ_SC": ("d545a0443bb26bc73e768cbde6c026dc84b8227fdef144c59ed69c8b6bcf22ee",
+              "82744e0c36f4e4002b53a5d5da147e6d38be0b1602d88976267c5b37de4df1ea"),
+    "SERIAL_SUM": ("01e37d11502008d929332b2773c98beb6ea30b9be4ad55afba383a08d644328b",
+                  "ec3e2c50a63efcf51defd2619f1aaeb5402282bfbb17ecef77f3110eb333fdd9"),
+    "PARALLEL_CONCAT": ("6f46724d360d9f14ad850d788ac691175250583ce3a1a0d9f5a401306d1b9cb4",
+                       "e8fd088996268a466855ef72c6319de862fd1b7bc95c487febded3c27d02460e"),
+    "fp": ("a76b52aee22932f6297ed6db3ad7a6ac079dcae945cf0b6cd95f36769685a33a",
+          "45238a5e559760e9faac6506a14464c96244bd7bcf46c0e3091dbafda72eec3d"),
+    "fv": ("9246041cd61738eedd575ffd015667451889631091966108b85d63c12de655d8",
+          "731189a1df70f8672c18c43fc0474dbff35e635a7268f615fcc6dafdbb44f580"),
 }
 
 
@@ -333,8 +333,8 @@ TRAINED_SHA256 = {
 # 1x2, so the 7x7 spatial-attention convs have three live taps each, where
 # the 24x24/20x20 maps above fuse to 1x1 and leave one.
 TRAINED_SHA256_1X2_MAP = (
-    "0d21ec7cd8686a91f10b957fb4dda5e187e57ba87faba5db597328ddd1be06be",
-    "96aa2f9e463c23b5fd6af19cc46c3e63f09d4ec0568e04ca3920e1d7f584883e")
+    "d9526fc142ba95065f31ab7c814dcfe31765c45f6d5729d1b0b3ed50a195d70c",
+    "2373931868a0b048a380bf5ee56e2923e89310d1b1a16fa783eb6adb70ab9e96")
 
 
 class TestTrainedBits:
