@@ -1,172 +1,91 @@
 """Time a base revision against this checkout in one process, in alternating rounds.
 
-    python3 scripts/ab_rounds.py --base HEAD~1 --workload fusion --rounds 30 --workdir /tmp/ab
+    python3 scripts/ab_rounds.py --base HEAD~1 --workload fusion_paper --rounds 20 --workdir /tmp/ab
 
-The base revision's committed files are exported with `git archive` into a
-fresh directory under --workdir, as record_bench.py does. Both `csafm`
-packages, the base's and this checkout's `src/`, are then imported into this
-process: `sys.modules` is purged of `csafm` between the two imports, and each
-side keeps its own module objects. Each round times one operation on each
-side, the side that goes first alternating from round to round:
+Each round runs one benchmark workload, the function perfbench/run.py calls
+from perfbench/workloads.py, once on each side for --seconds, the side that
+goes first alternating from round to round; round i runs seed i on both
+sides. The base revision's committed files are exported with `git archive`
+into a fresh directory under --workdir, as record_bench.py does. Both
+checkouts' `csafm` and benchmark modules are then imported into this
+process: `sys.modules` is purged of them between the two imports, and each
+side's workload keeps its own module objects. BLAS runs on one thread, as
+run.py pins it. One untimed round per side goes first, so the cached
+weights and warm buffers a workload makes on its first call are not timed.
 
-- train_gate: one training epoch of the gate task (the config of
-  perfbench/recognize_weights.json at seed 1), on a model built fresh each
-  round outside the timing;
-- fusion: one forward and backward of all seven fusion variants on the
-  paper's 512-channel 4x7 and 3x9 maps at batch 16, as fusion_paper sweeps;
-- query: 50 batch-1 eval forwards of the gate model.
-
-It prints each side's median, the median over rounds of the paired ratio
-change/base, how many rounds the change won, and whether the two sides' last
-outputs were byte-identical. BLAS is pinned to one thread unless the caller
-set OPENBLAS_NUM_THREADS. Alternating rounds in one process pair each
-measurement with one taken moments apart, where separate benchmark runs of
-a few seconds each also carry the drift between processes.
+It prints each side's median of the rounds' op_ms_mean, the median over
+rounds of the paired ratio change/base, and how many rounds the change won.
+Separate benchmark runs also carry the drift between processes; alternating
+rounds pair each measurement with one taken moments apart.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import statistics
 import sys
-import time
 from pathlib import Path
-
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np  # noqa: E402  (after the BLAS thread pin)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from record_bench import ROOT, export_base  # noqa: E402
 
 sys.path.pop(0)
 
-GATE_CONFIG = ROOT / "perfbench" / "recognize_weights.json"
-PAPER_BATCH, PAPER_CHANNELS, PAPER_R = 16, 512, 16
-QUERIES = 50
+BENCH_MODULES = ("csafm", "layers", "reference", "run", "workloads")
 
 
-def import_csafm(src: Path):
-    """The `csafm` package under src, imported afresh."""
-    for name in [m for m in sys.modules if m == "csafm" or m.startswith("csafm.")]:
-        del sys.modules[name]
-    sys.path.insert(0, str(src))
+def load_workload(checkout: Path, name: str):
+    """Workload `name` of checkout/perfbench/workloads.py on that checkout's
+    csafm, as a function of (seed, seconds) that runs it untraced."""
+    for mod in [m for m in sys.modules if m.split(".")[0] in BENCH_MODULES]:
+        del sys.modules[mod]
+    paths = [str(checkout / "src"), str(checkout / "perfbench")]
+    sys.path[:0] = paths
     try:
-        import csafm
-        import csafm.config
-        import csafm.fusion
-        import csafm.model
-        import csafm.train
+        import run
+        run.pin_blas_threads()  # before the first import of numpy loads BLAS
+        import layers
+        import workloads
     finally:
-        sys.path.remove(str(src))
-    return csafm
-
-
-def gate_setup(cs):
-    """The gate config at one epoch, its dataset and a model builder."""
-    spec = json.loads(GATE_CONFIG.read_text())
-    cfg = cs.config.RunConfig.from_dict(
-        {k: v for k, v in spec.items() if k != "out_dir"} | {"seed": 1, "epochs": 1})
-    ds = cs.config.resolve_dataset(cfg)
-    s = ds[0]
-
-    def build():
-        return cs.model.FpvCsafmModel.build(
-            classes=max(x.label for x in ds) + 1,
-            fp_size=(s.fp.h, s.fp.w), fv_size=(s.fv.h, s.fv.w),
-            variant=cfg.variant, rng=cs.Rng(cs.derive_seed(cfg.seed, "init")),
-            r1=cfg.r1, r2=cfg.r2, width_multiplier=cfg.width_multiplier)
-
-    return cfg, ds, build
-
-
-def train_gate_op(cs):
-    cfg, ds, build = gate_setup(cs)
-
-    def op():
-        model = build()
-        t0 = time.perf_counter()
-        cs.train.train_loop(model, ds, cfg)
-        dt = time.perf_counter() - t0
-        return dt, b"".join(np.ascontiguousarray(a).tobytes() for _, a, _ in model.state_entries())
-
-    return op
-
-
-def query_op(cs):
-    _, ds, build = gate_setup(cs)
-    model = build()
-
-    def op():
-        t0 = time.perf_counter()
-        preds = [cs.train.predict(model, ds, [q], 1)[0] for q in range(QUERIES)]
-        return time.perf_counter() - t0, np.array(preds).tobytes()
-
-    return op
-
-
-def fusion_op(cs, features, grads):
-    variants = list(cs.fusion.FusionVariant)
-    states = {v: cs.fusion.FusionState.init(v, PAPER_CHANNELS, PAPER_R, PAPER_R,
-                                            cs.Rng(1).spawn("state", v.name))
-              for v in variants}
-
-    def one_pass(v):
-        for _, p in states[v].parameters():
-            p.grad = None
-        a, b = cs.fusion.standardize(cs.Tensor(features[0], requires_grad=True),
-                                     cs.Tensor(features[1], requires_grad=True))
-        z = cs.fusion.ablation_fuse(a, b, states[v], "train")
-        if v.name not in grads:
-            grads[v.name] = np.random.default_rng(2).uniform(-1, 1, z.dims).astype(np.float32)
-        z.backward(grads[v.name])
-        return z.data
-
-    def op():
-        t0 = time.perf_counter()
-        zs = [one_pass(v) for v in variants]
-        return time.perf_counter() - t0, b"".join(z.tobytes() for z in zs)
-
-    return op
+        del sys.path[:len(paths)]
+    return lambda seed, seconds: workloads.WORKLOADS[name](seed, seconds, layers.NullTracer())
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="revision to compare against")
-    ap.add_argument("--workload", required=True, choices=("train_gate", "fusion", "query"))
-    ap.add_argument("--rounds", type=int, default=30)
+    ap.add_argument("--workload", required=True,
+                    choices=("train_gate", "recognize", "fusion_paper"))
+    ap.add_argument("--rounds", type=int, default=20)
+    ap.add_argument("--seconds", type=float, default=5.0,
+                    help="seconds each side runs the workload per round")
     ap.add_argument("--workdir", required=True, type=Path,
                     help="directory for the export of the base revision")
     args = ap.parse_args(argv)
 
     args.workdir.mkdir(parents=True, exist_ok=True)
-    base_src = export_base(args.base, args.workdir) / "src"
-    r = np.random.default_rng(1)
-    features = (r.standard_normal((PAPER_BATCH, PAPER_CHANNELS, 4, 7), dtype=np.float32),
-                r.standard_normal((PAPER_BATCH, PAPER_CHANNELS, 3, 9), dtype=np.float32))
-    grads: dict = {}
-    make = {"train_gate": train_gate_op, "query": query_op,
-            "fusion": lambda cs: fusion_op(cs, features, grads)}[args.workload]
-    ops = {side: make(import_csafm(src))
-           for side, src in (("base", base_src), ("change", ROOT / "src"))}
-    for op in ops.values():  # warm caches and BLAS buffers before timing
-        op()
+    sides = {"base": export_base(args.base, args.workdir), "change": ROOT}
+    runs = {side: load_workload(path, args.workload) for side, path in sides.items()}
 
-    times = {"base": [], "change": []}
-    last = {}
-    for i in range(args.rounds):
-        for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
-            dt, last[side] = ops[side]()
-            times[side].append(dt)
-    ratios = [c / b for b, c in zip(times["base"], times["change"])]
-    wins = sum(c < b for b, c in zip(times["base"], times["change"]))
-    for side, ts in times.items():
-        print(f"{side}: median {1000 * statistics.median(ts):.3f} ms over {len(ts)} rounds")
-    print(f"{args.workload}: paired median ratio change/base {statistics.median(ratios):.4f}, "
-          f"change faster in {wins}/{args.rounds} rounds, "
-          f"outputs {'identical' if last['base'] == last['change'] else 'differ'}")
+    def op_ms_mean(side: str, seed: int) -> float:
+        out = runs[side](seed, args.seconds)
+        for f in sorted(set(out.failures)):
+            print(f"check failed on {side}, seed {seed}: {f}", file=sys.stderr)
+        return 1000.0 * statistics.fmean(out.op_s)
+
+    for side in runs:
+        op_ms_mean(side, 0)
+    ms = {side: [] for side in runs}
+    for i in range(1, args.rounds + 1):
+        for side in (("base", "change") if i % 2 else ("change", "base")):
+            ms[side].append(op_ms_mean(side, i))
+    pairs = list(zip(ms["base"], ms["change"]))
+    for side, values in ms.items():
+        print(f"{side}: median op_ms_mean {statistics.median(values):.3f} ms "
+              f"over {len(values)} rounds")
+    print(f"{args.workload}: paired median ratio change/base "
+          f"{statistics.median(c / b for b, c in pairs):.4f}, "
+          f"change faster in {sum(c < b for b, c in pairs)}/{len(pairs)} rounds")
     return 0
 
 

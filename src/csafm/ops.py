@@ -274,10 +274,11 @@ def _tap_windows(k: int, s: int, pad: int, size: int, o: int) -> tuple[tuple[int
 def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     """Cross-correlation with zero padding and per-channel bias.
 
-    Each pass takes one of four forms, picked by the conv's shape alone:
+    Each pass takes one of five forms, picked by the conv's shape alone:
 
-    - forward: per sample at c = 1; rows at c > oc, and at c < oc with
-      stride 1 and the kernel taller than the map (k > h); otherwise im2col;
+    - forward: per sample at c = 1; pointwise at k = 1, stride 1, pad 0;
+      rows at c > oc, and at c < oc with stride 1 and the kernel taller
+      than the map (k > h); otherwise im2col;
     - backward: per-sample dw at c = 1; rows at stride 1 and k > h;
       otherwise taps.
 
@@ -289,6 +290,12 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
       each window row it copies is one run of kw*c contiguous floats, and
       a weight from ConvParams.he_init is held in that (oc, i, j, c) order,
       so with every tap live the GEMM reads it in place.
+    - pointwise (the channel attention's pw1 and pw2): the channels-last
+      input is the patch matrix, so forward is one GEMM with no padding
+      or window view, with the bytes of the tap and im2col forms. At
+      batch 1 the gate task's 64->16 pw1 took 0.84 times its time as one
+      tap (where rows took 1.2 times), and its 16->64 pw2 0.67 times its
+      time as im2col (medians of paired ratios, faster in 60 of 60).
     - per sample (stage 1 on the grayscale image): the patch matrix is
       built tap-major per sample, (n, kh*kw, oh*ow), in one copy of rows
       oh*ow long, where a pixel-major row would be only kw floats. Forward
@@ -327,6 +334,12 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
       that window as an (m, oc) matrix gs and xw the (m, c) input cells
       it reads, dw[i, j] = gs.T xw and dx[cells] += gs w[:, :, i, j],
       added in row-major tap order into an unpadded channels-last dx.
+      Backward keeps it wherever the map is at least as tall as the
+      kernel, since rows were slower there at batch 16, the training
+      batch: 1.03 to 1.43 times the taps' time on backbone stages 2-4 (3x3
+      on maps 3 to 16 rows tall, slower in 19 to 30 of 30 rounds) and 1.10
+      to 1.44 times on the 1x1 pw convs (slower in 26 to 30). On stage 5's
+      2x3 map (k > h) rows took 0.96 times (faster in 20 of 30).
 
     Timings are medians of alternating rounds in one process at BLAS 1
     thread on a 2-vCPU VM. Every form uses only the live taps: the kernel
@@ -343,11 +356,14 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     run at a fixed BLAS thread count. The narrowing row forward adds each
     tap's products into the output in row-major tap order, as the per-tap
     loop before it did, and gives that loop's bytes at batch 16 on the
-    paper and gate shapes. Where the live taps are trimmed, the im2col GEMM
-    sums fewer zero terms and its K blocking moves with K, so the output
-    moves in the last bits against an untrimmed GEMM. The row and tap
-    forms sum dw over different pixel sets per GEMM, and the row dx sums a
-    kernel row's taps inside one GEMM, so each form has its own last bits.
+    paper and gate shapes. Below batch 16 (batch 8 on a 2x3 map) its last
+    bits differ from that loop's: BLAS sums the row GEMM, kw times wider
+    than a tap's, in another order there. Where the live taps are trimmed,
+    the im2col GEMM sums fewer zero terms and its K blocking moves with K,
+    so the output moves in the last bits against an untrimmed GEMM. The
+    row and tap forms sum dw over different pixel sets per GEMM, and the
+    row dx sums a kernel row's taps inside one GEMM, so each form has its
+    own last bits.
     """
     n, c, h, w = x.dims
     if c != p.in_c:
@@ -375,11 +391,17 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     # heap, and the fusion_paper benchmark peaked 3.9 MiB higher
     w_l = np.ascontiguousarray(p.weight.data.transpose(0, 2, 3, 1))
     rows_form = s == 1 and k > h  # the kernel is taller than the map
+    pointwise = k == 1 and s == 1 and pad == 0
     if c == 1:
         xpl = _pad_cl(x.data, pad)
         w_cl = w_l[:, i0:i1, j0:j1].reshape(oc, kh * kw)
         out = np.matmul(w_cl, _sample_cols(xpl, kh, kw, s, oh, ow, i0, j0))
         out = out.reshape(n, oc, oh, ow)
+    elif pointwise:
+        # one GEMM: the channels-last input is the patch matrix
+        xpl = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1))
+        out = np.dot(xpl.reshape(-1, c), w_l.reshape(oc, c).T)
+        out = np.ascontiguousarray(out.reshape(n, h, w, oc).transpose(0, 3, 1, 2))
     elif c > oc:
         # rows, scattering; x_h is x as (h, n, w, c)
         x_h = np.ascontiguousarray(x.data.transpose(2, 0, 3, 1))
@@ -468,7 +490,10 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
             # and xs, the unpadded channels-last input, and dx (n, h, w, c)
             # to the input cells that window reads
             g_cl = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
-            xs = x_h.transpose(1, 0, 2, 3) if c > oc else xpl[:, pad : pad + h, pad : pad + w]
+            if c > oc and not pointwise:
+                xs = x_h.transpose(1, 0, 2, 3)
+            else:
+                xs = xpl[:, pad : pad + h, pad : pad + w]
             if want_dx:
                 dx = np.zeros((n, h, w, c), dtype=g.dtype)
                 # each tap's (oc, c) weight, contiguous: np.dot would copy a

@@ -50,7 +50,7 @@ TRIMMED_TAPS = {
 
 
 # (n, c, h, w, co, k, stride, pad) shapes with c > co, on which conv2d's
-# forward runs one GEMM per live tap
+# forward runs one GEMM per live kernel row, or one GEMM when pointwise
 NARROWING = {
     "paper_3x7_narrowing": (2, 512, 3, 7, 32, 7, 1, 3),  # the paper's 512->32 attention conv
     "narrowing_stride2_dead_tap": (2, 6, 1, 3, 4, 3, 2, 2),  # kernel row 1 reads only padding
