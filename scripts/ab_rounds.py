@@ -15,6 +15,9 @@ weights and warm buffers a workload makes on its first call are not timed.
 
 It prints each side's median of the rounds' op_ms_mean, the median over
 rounds of the paired ratio change/base, and how many rounds the change won.
+It exits 1 after that summary if any run, the untimed ones included,
+reported a failed check or a failed operation: a time taken on wrong
+outputs measures another program.
 Separate benchmark runs also carry the drift between processes; alternating
 rounds pair each measurement with one taken moments apart.
 """
@@ -67,10 +70,16 @@ def main(argv=None) -> int:
     sides = {"base": export_base(args.base, args.workdir), "change": ROOT}
     runs = {side: load_workload(path, args.workload) for side, path in sides.items()}
 
+    failed_runs = []
+
     def op_ms_mean(side: str, seed: int) -> float:
         out = runs[side](seed, args.seconds)
         for f in sorted(set(out.failures)):
             print(f"check failed on {side}, seed {seed}: {f}", file=sys.stderr)
+        if out.failed:
+            print(f"{out.failed} operations failed on {side}, seed {seed}", file=sys.stderr)
+        if out.failures or out.failed:
+            failed_runs.append((side, seed))
         return 1000.0 * statistics.fmean(out.op_s)
 
     for side in runs:
@@ -86,6 +95,10 @@ def main(argv=None) -> int:
     print(f"{args.workload}: paired median ratio change/base "
           f"{statistics.median(c / b for b, c in pairs):.4f}, "
           f"change faster in {sum(c < b for b, c in pairs)}/{len(pairs)} rounds")
+    if failed_runs:
+        print(f"{len(failed_runs)} runs reported failed checks or operations; "
+              f"their times measure wrong outputs", file=sys.stderr)
+        return 1
     return 0
 
 

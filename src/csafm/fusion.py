@@ -75,7 +75,6 @@ class ChannelAttnState(StateTree):
 
     pw1: ConvParams
     pw2: ConvParams
-    r1: int
 
     @classmethod
     def init(cls, c: int, r1: int, rng: Rng, dtype=np.float32) -> "ChannelAttnState":
@@ -83,7 +82,6 @@ class ChannelAttnState(StateTree):
         return cls(
             pw1=ConvParams.he_init(c, mid, 1, 1, 0, rng.spawn("pw1"), dtype=dtype),
             pw2=ConvParams.he_init(mid, c, 1, 1, 0, rng.spawn("pw2"), dtype=dtype),
-            r1=r1,
         )
 
     def named(self):
@@ -99,7 +97,6 @@ class SpatialAttnState(StateTree):
     bn1: BnParams
     conv2: ConvParams
     bn2: BnParams
-    r2: int
 
     @classmethod
     def init(cls, c: int, r2: int, rng: Rng, dtype=np.float32) -> "SpatialAttnState":
@@ -110,7 +107,6 @@ class SpatialAttnState(StateTree):
             bn1=BnParams.init(mid, dtype=dtype),
             conv2=ConvParams.he_init(mid, c, SPATIAL_K, 1, pad, rng.spawn("conv2"), dtype=dtype),
             bn2=BnParams.init(c, dtype=dtype),
-            r2=r2,
         )
 
     def named(self):

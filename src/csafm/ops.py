@@ -234,24 +234,6 @@ def _sample_cols(xpl: np.ndarray, kh: int, kw: int, s: int, oh: int, ow: int,
 
 
 @functools.lru_cache(maxsize=1024)
-def _live_taps(k: int, s: int, pad: int, size: int, o: int) -> tuple[int, int]:
-    """The hull [lo, hi) of the kernel offsets along one axis that can read the input.
-
-    Offset i reads padded cells i, i + s, ..., i + s*(o-1), and the input
-    holds cells [pad, pad + size). So an offset below pad - s*(o-1) reads
-    only leading padding, and one at or above pad + size only trailing.
-    The hull can still hold an offset that reads only padding: when a
-    stride steps over a one-cell input (k=3, stride 2, pad 2 on one cell
-    keeps offsets 0-2, of which 1 reads padding at both outputs). Such an
-    offset multiplies zeros, so the output stays exact and only its work
-    is wasted; no backbone or fusion convolution has this geometry.
-    _tap_windows, which the rows and taps forms loop over, leaves it out.
-    Cached, as _tap_windows is: every conv2d call asks for both axes.
-    """
-    return max(0, pad - s * (o - 1)), min(k, pad + size)
-
-
-@functools.lru_cache(maxsize=1024)
 def _tap_windows(k: int, s: int, pad: int, size: int, o: int) -> tuple[tuple[int, slice, slice], ...]:
     """(t, outputs, inputs) along one axis for each kernel offset t that reads the input.
 
@@ -274,96 +256,66 @@ def _tap_windows(k: int, s: int, pad: int, size: int, o: int) -> tuple[tuple[int
 def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     """Cross-correlation with zero padding and per-channel bias.
 
-    Each pass takes one of five forms, picked by the conv's shape alone:
+    Each pass picks its form from the shape alone, by one rule: rows where
+    the stride is 1 and the kernel is taller than the map (k > h).
 
-    - forward: per sample at c = 1; pointwise at k = 1, stride 1, pad 0;
-      rows at c > oc, and at c < oc with stride 1 and the kernel taller
-      than the map (k > h); otherwise im2col;
-    - backward: per-sample dw at c = 1; rows at stride 1 and k > h;
-      otherwise taps.
+    - forward: rows there unless c = oc; otherwise per sample at c = 1,
+      and im2col, k = 1 included, at c > 1;
+    - backward: rows there; otherwise per-sample dw at c = 1 with taps for
+      dx, and taps at c > 1.
 
-    The forms:
+    Each form, with the measurement that keeps it (medians of alternating
+    rounds in one process at BLAS 1 thread on a 2-vCPU VM; the history is
+    in CHANGES.md):
 
     - im2col (Chellapilla et al. 2006): the patch matrix (n*oh*ow,
-      kh*kw*c) times the weight as (oc, kh*kw*c), transposed. It is built
-      from a channels-last padded input with columns in (i, j, c) order, so
-      each window row it copies is one run of kw*c contiguous floats, and
-      a weight from ConvParams.he_init is held in that (oc, i, j, c) order,
-      so with every tap live the GEMM reads it in place.
-    - pointwise (the channel attention's pw1 and pw2): the channels-last
-      input is the patch matrix, so forward is one GEMM with no padding
-      or window view, with the bytes of the tap and im2col forms. At
-      batch 1 the gate task's 64->16 pw1 took 0.84 times its time as one
-      tap (where rows took 1.2 times), and its 16->64 pw2 0.67 times its
-      time as im2col (medians of paired ratios, faster in 60 of 60).
+      kh*kw*c) times the weight as (oc, kh*kw*c), transposed. Its columns
+      are in (i, j, c) order, so each window row it copies from the
+      channels-last padded input is one run of kw*c floats, and a he_init
+      weight is held in that (oc, i, j, c) order, so the GEMM reads it in
+      place. At k = 1 the channels-last input is the patch matrix. It
+      keeps the c = oc forward where k > h: a row forward on backbone
+      stage 5's 2x3 map took 34.3 us at batch 1 against im2col's 25.5.
     - per sample (stage 1 on the grayscale image): the patch matrix is
       built tap-major per sample, (n, kh*kw, oh*ow), in one copy of rows
-      oh*ow long, where a pixel-major row would be only kw floats. Forward
-      is np.matmul(w, col), which writes the NCHW output with no transpose
-      and gives the bytes of the one tap-major GEMM before it. Backward
-      rebuilds the matrix from the kept padded image and sums the
-      per-sample products g[n] col[n].T over n. At batch 16 on 64x96
-      images forward went from 1.50 to 1.09 ms, and forward plus backward
-      from 4.53 to 2.93 ms.
-    - rows (one GEMM per live kernel row, after memory-efficient
-      convolution, Cho & Brand 2017): the operands are copied once into
-      (h, n, w, c) order, so the rows that kernel row i reads, or writes,
-      are one contiguous block. Row i's kw width taps are then gathered (a
+      oh*ow long where a pixel-major row would be kw floats. Forward is
+      np.matmul(w, col), which writes the NCHW output with no transpose;
+      dw sums the per-sample products g[n] col[n].T over n. At batch 16 on
+      64x96 images forward went from 1.50 to 1.09 ms, and forward plus
+      backward from 4.53 to 2.93 ms.
+    - rows (one GEMM per kernel row, after memory-efficient convolution,
+      Cho & Brand 2017): the operands are copied once into (h, n, w, c)
+      order, so the rows that kernel row i reads, or writes, are one
+      contiguous block. Row i's kw width taps are then gathered (a
       width-only im2col, _row_cols) or scattered on whichever side has
-      fewer channels. Forward at c > oc multiplies the input rows, in
-      place, by row i's taps as (c, kw*oc) and adds each tap's oc columns
-      into the outputs that read it; at c < oc it gathers the input's taps
-      and adds one GEMM per row into the output rows. Backward at c > oc
-      gathers g's taps and gets dw[:, :, i] and row i's share of dx from two
-      GEMMs on the input rows in place; at c <= oc it gathers the input's
-      taps for dw and scatters g times row i's (oc, kw*c) weights into dx.
-      Where the kernel is taller than the map, as the 7x7 attention convs
-      on the paper's 3x7 fused map, a per-tap GEMM was a few output rows
-      tall and each also copied or read-modify-wrote a c-channel window.
-      At batch 16 the paper's 512->32 conv went from 12.3 to 9.4 ms
-      forward plus backward (forward 3.6 to 3.2 ms) and its 32->512 conv
-      from 13.8 to 9.8 ms (forward 5.3 to 3.0 ms); the gate task's 64->16
-      conv on its 1x2 map from 20.1 to 17.7 us per batch-1 forward. At
-      c = oc (backbone stage 5 on the gate task, 3x3 on a 2x3 map) a row
-      forward took 34.3 us at batch 1 against im2col's 25.5, so that
-      forward stays im2col. The narrowing forward builds no patch matrix,
-      which for the paper's 512->32 conv would be a 24 MB copy.
+      fewer channels. On a map shorter than the kernel a per-tap GEMM is a
+      few output rows tall: at batch 16 rows took the paper's 512->32
+      attention conv from 12.3 to 9.4 ms forward plus backward and its
+      32->512 conv from 13.8 to 9.8 ms, and the narrowing forward builds
+      no patch matrix, which at 512->32 would be a 24 MB copy.
     - taps (the shifted GEMM form, Vasudevan et al. 2017): one GEMM per
-      tap (i, j) that reads the input, over only the outputs whose read
-      at that tap lands inside the input (_tap_windows): with g cut to
-      that window as an (m, oc) matrix gs and xw the (m, c) input cells
-      it reads, dw[i, j] = gs.T xw and dx[cells] += gs w[:, :, i, j],
-      added in row-major tap order into an unpadded channels-last dx.
-      Backward keeps it wherever the map is at least as tall as the
-      kernel, since rows were slower there at batch 16, the training
-      batch: 1.03 to 1.43 times the taps' time on backbone stages 2-4 (3x3
-      on maps 3 to 16 rows tall, slower in 19 to 30 of 30 rounds) and 1.10
-      to 1.44 times on the 1x1 pw convs (slower in 26 to 30). On stage 5's
-      2x3 map (k > h) rows took 0.96 times (faster in 20 of 30).
+      tap (i, j) over only the outputs whose read at that tap lands inside
+      the input (_tap_windows): with g cut to that window as an (m, oc)
+      matrix gs and xw the (m, c) input cells it reads, dw[i, j] = gs.T xw
+      and dx[cells] += gs w[:, :, i, j], in row-major tap order. On maps
+      at least as tall as the kernel rows took 1.03 to 1.43 times its
+      backward time at batch 16 on backbone stages 2-4, and 1.10 to 1.44
+      times on the 1x1 pw convs; on stage 5's 2x3 map, where k > h, 0.96
+      times.
 
-    Timings are medians of alternating rounds in one process at BLAS 1
-    thread on a 2-vCPU VM. Every form uses only the live taps: the kernel
-    rows [i0, i1) and columns [j0, j1) that can read the input
-    (_live_taps), or the taps _tap_windows keeps. A tap outside them
-    multiplies padding zeros at every output pixel, as the 7x7, pad-3
-    attention convs do on a 3x7 or 1x2 fused map; on the backbone every
-    tap is live. dw is built in a +0 (oc, kh, kw, c) buffer, so a tap that
+    Every form uses only the taps that read the input: those _tap_windows
+    keeps, or their hull, the kernel rows [i0, i1) and columns [j0, j1)
+    from the first to the last of them, empty when every tap on an axis
+    reads padding. A tap outside them multiplies padding zeros at every
+    output pixel, as the 7x7, pad-3 attention convs do on a 3x7 or 1x2
+    fused map. dw is built in a +0 (oc, kh, kw, c) buffer, so a tap that
     reads only padding keeps +0, and handed over as its (oc, c, kh, kw)
-    transpose: the grad has the strides of a he_init weight, and so do
-    Adam's moments.
+    transpose: the grad has the strides of a he_init weight.
 
     Bits: every form sums in a fixed order, so the bits repeat from run to
-    run at a fixed BLAS thread count. The narrowing row forward adds each
-    tap's products into the output in row-major tap order, as the per-tap
-    loop before it did, and gives that loop's bytes at batch 16 on the
-    paper and gate shapes. Below batch 16 (batch 8 on a 2x3 map) its last
-    bits differ from that loop's: BLAS sums the row GEMM, kw times wider
-    than a tap's, in another order there. Where the live taps are trimmed,
-    the im2col GEMM sums fewer zero terms and its K blocking moves with K,
-    so the output moves in the last bits against an untrimmed GEMM. The
-    row and tap forms sum dw over different pixel sets per GEMM, and the
-    row dx sums a kernel row's taps inside one GEMM, so each form has its
-    own last bits.
+    run at a fixed BLAS thread count. Each form sums in its own order, so
+    each has its own last bits; trimming taps from the im2col GEMM moves
+    its K blocking, and so its last bits, against an untrimmed GEMM.
     """
     n, c, h, w = x.dims
     if c != p.in_c:
@@ -377,8 +329,10 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
             f"kernel {k}, stride {s}, pad {pad}"
         )
     oc = p.out_c
-    i0, i1 = _live_taps(k, s, pad, h, oh)
-    j0, j1 = _live_taps(k, s, pad, w, ow)
+    rows = _tap_windows(k, s, pad, h, oh)
+    cols = _tap_windows(k, s, pad, w, ow)
+    i0, i1 = (rows[0][0], rows[-1][0] + 1) if rows else (0, 0)
+    j0, j1 = (cols[0][0], cols[-1][0] + 1) if cols else (0, 0)
     kh, kw = i1 - i0, j1 - j0
 
     # Every GEMM operand has a fixed layout: BLAS picks its kernel by layout
@@ -391,23 +345,11 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     # heap, and the fusion_paper benchmark peaked 3.9 MiB higher
     w_l = np.ascontiguousarray(p.weight.data.transpose(0, 2, 3, 1))
     rows_form = s == 1 and k > h  # the kernel is taller than the map
-    pointwise = k == 1 and s == 1 and pad == 0
-    if c == 1:
-        xpl = _pad_cl(x.data, pad)
-        w_cl = w_l[:, i0:i1, j0:j1].reshape(oc, kh * kw)
-        out = np.matmul(w_cl, _sample_cols(xpl, kh, kw, s, oh, ow, i0, j0))
-        out = out.reshape(n, oc, oh, ow)
-    elif pointwise:
-        # one GEMM: the channels-last input is the patch matrix
-        xpl = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1))
-        out = np.dot(xpl.reshape(-1, c), w_l.reshape(oc, c).T)
-        out = np.ascontiguousarray(out.reshape(n, h, w, oc).transpose(0, 3, 1, 2))
-    elif c > oc:
+    if rows_form and c > oc:
         # rows, scattering; x_h is x as (h, n, w, c)
         x_h = np.ascontiguousarray(x.data.transpose(2, 0, 3, 1))
         out_h = np.zeros((oh, n, ow, oc), dtype=x.data.dtype)
-        cols = _tap_windows(k, s, pad, w, ow)
-        for i, oy, iy in _tap_windows(k, s, pad, h, oh):
+        for i, oy, iy in rows:
             xi = x_h[iy]
             part = np.dot(xi.reshape(-1, c), _row_taps(w_l, i, j0, j1).T)
             part = part.reshape(xi.shape[:3] + (kw, oc))
@@ -415,36 +357,34 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
                 o = out_h[oy, :, ox]
                 o += part[:, :, ix, j - j0]
         out = np.ascontiguousarray(out_h.transpose(1, 3, 0, 2))
-    elif c < oc and rows_form:
+    elif rows_form and c < oc:
         # rows, gathering: w_rows[:, i] is row i's live taps as an (oc, kw*c)
         # view, which np.matmul reads in place
         xcol = _row_cols(x.data, k, pad, ow, j0, j1)
         w_rows = w_l.reshape(oc, k, k * c)[:, :, j0 * c : j1 * c]
         out_h = np.zeros((oh, n * ow, oc), dtype=x.data.dtype)
-        for i, oy, iy in _tap_windows(k, s, pad, h, oh):
+        for i, oy, iy in rows:
             o = out_h[oy].reshape(-1, oc)
             o += np.matmul(xcol[iy].reshape(-1, kw * c), w_rows[:, i].T)
         out = np.ascontiguousarray(out_h.reshape(oh, n, ow, oc).transpose(1, 3, 0, 2))
     else:
-        # im2col; w_cl, the live taps as a matrix, is a view unless columns
-        # are trimmed from more than one row
+        # per sample or im2col; w_cl, the live taps as a matrix, is a view
+        # unless columns are trimmed from more than one row
         xpl = _pad_cl(x.data, pad)
         w_cl = w_l[:, i0:i1, j0:j1].reshape(oc, kh * kw * c)
-        out = np.dot(_im2col(xpl, (kh, kw), s, oh, ow, (i0, j0)), w_cl.T)
-        out = np.ascontiguousarray(out.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2))
+        if c == 1:
+            out = np.matmul(w_cl, _sample_cols(xpl, kh, kw, s, oh, ow, i0, j0))
+            out = out.reshape(n, oc, oh, ow)
+        else:
+            out = np.dot(_im2col(xpl, (kh, kw), s, oh, ow, (i0, j0)), w_cl.T)
+            out = np.ascontiguousarray(out.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2))
     out += p.bias.data
 
     def bw(g: np.ndarray) -> None:
         accumulate_grad(p.bias, g.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1), fresh=True)
         dw = np.zeros((oc, k, k, c), dtype=g.dtype)  # channels-last, as he_init holds w
         want_dx = x.requires_grad
-        rows = _tap_windows(k, s, pad, h, oh)
-        cols = _tap_windows(k, s, pad, w, ow)
-        if c == 1:
-            col = _sample_cols(xpl, kh, kw, s, oh, ow, i0, j0)
-            dw_n = np.matmul(g.reshape(n, oc, oh * ow), col.transpose(0, 2, 1))
-            dw[:, i0:i1, j0:j1] = dw_n.sum(axis=0).reshape(oc, kh, kw, 1)
-        if rows_form and (c > 1 or want_dx):
+        if rows_form:
             # rows; g_h and dx_h are (oh, n, ow, oc) and (h, n, w, c)
             g_h = np.ascontiguousarray(g.transpose(2, 0, 3, 1))
             dx_h = np.zeros((h, n, w, c), dtype=g.dtype) if want_dx else None
@@ -471,12 +411,10 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
                 # np.matmul reads and writes in place
                 w_rows = w_l.reshape(oc, k, k * c)[:, :, j0 * c : j1 * c]
                 dw_rows = dw.reshape(oc, k, k * c)[:, :, j0 * c : j1 * c]
-                if c > 1:
-                    xcol = _row_cols(x.data, k, pad, ow, j0, j1)
+                xcol = _row_cols(x.data, k, pad, ow, j0, j1)
                 for i, oy, iy in rows:
                     gi = g_h[oy].reshape(-1, oc)
-                    if c > 1:
-                        np.matmul(gi.T, xcol[iy].reshape(-1, kw * c), out=dw_rows[:, i])
+                    np.matmul(gi.T, xcol[iy].reshape(-1, kw * c), out=dw_rows[:, i])
                     if want_dx:
                         q = np.matmul(gi, w_rows[:, i])
                         q = q.reshape(g_h[oy].shape[:3] + (kw, c))
@@ -485,30 +423,32 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
                             d += q[:, :, ox, j - j0]
             if want_dx:
                 accumulate_grad(x, np.ascontiguousarray(dx_h.transpose(1, 3, 0, 2)), fresh=True)
-        elif c > 1 or want_dx:
-            # taps: g_cl (n, oh, ow, oc) is cut to each tap's output window,
-            # and xs, the unpadded channels-last input, and dx (n, h, w, c)
-            # to the input cells that window reads
-            g_cl = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
-            if c > oc and not pointwise:
-                xs = x_h.transpose(1, 0, 2, 3)
-            else:
+        else:
+            if c == 1:
+                col = _sample_cols(xpl, kh, kw, s, oh, ow, i0, j0)
+                dw_n = np.matmul(g.reshape(n, oc, oh * ow), col.transpose(0, 2, 1))
+                dw[:, i0:i1, j0:j1] = dw_n.sum(axis=0).reshape(oc, kh, kw, 1)
+            if c > 1 or want_dx:
+                # taps: g_cl (n, oh, ow, oc) is cut to each tap's output
+                # window, and xs, the unpadded channels-last input, and dx
+                # (n, h, w, c) to the input cells that window reads
+                g_cl = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
                 xs = xpl[:, pad : pad + h, pad : pad + w]
-            if want_dx:
-                dx = np.zeros((n, h, w, c), dtype=g.dtype)
-                # each tap's (oc, c) weight, contiguous: np.dot would copy a
-                # strided w_l[:, i, j] at every tap
-                w_t = np.ascontiguousarray(w_l.transpose(1, 2, 0, 3))
-            for i, oy, iy in rows:
-                for j, ox, ix in cols:
-                    gs = g_cl[:, oy, ox].reshape(-1, oc)
-                    if c > 1:
-                        dw[:, i, j] = np.dot(gs.T, xs[:, iy, ix].reshape(-1, c))
-                    if want_dx:
-                        dx_win = dx[:, iy, ix]
-                        dx_win += np.dot(gs, w_t[i, j]).reshape(dx_win.shape)
-            if want_dx:
-                accumulate_grad(x, np.ascontiguousarray(dx.transpose(0, 3, 1, 2)), fresh=True)
+                if want_dx:
+                    dx = np.zeros((n, h, w, c), dtype=g.dtype)
+                    # each tap's (oc, c) weight, contiguous: np.dot would copy a
+                    # strided w_l[:, i, j] at every tap
+                    w_t = np.ascontiguousarray(w_l.transpose(1, 2, 0, 3))
+                for i, oy, iy in rows:
+                    for j, ox, ix in cols:
+                        gs = g_cl[:, oy, ox].reshape(-1, oc)
+                        if c > 1:
+                            dw[:, i, j] = np.dot(gs.T, xs[:, iy, ix].reshape(-1, c))
+                        if want_dx:
+                            dx_win = dx[:, iy, ix]
+                            dx_win += np.dot(gs, w_t[i, j]).reshape(dx_win.shape)
+                if want_dx:
+                    accumulate_grad(x, np.ascontiguousarray(dx.transpose(0, 3, 1, 2)), fresh=True)
         accumulate_grad(p.weight, dw.transpose(0, 3, 1, 2), fresh=True)
 
     return make_node(out, (x, p.weight, p.bias), bw)

@@ -134,6 +134,40 @@ class TestFusedForward:
         assert "head.weight" in names and "head.bias" in names
 
 
+def gate_eval_digest(variant: FusionVariant) -> str:
+    """sha256 of the eval logits at batch 1, then batch 3, of a fresh model
+    at the acceptance-gate shape: 16 classes, 64x96 fp and 48x80 fv images,
+    width 0.125, r1 = r2 = 4, whose fused map is 1x2."""
+    m = FpvCsafmModel.build(
+        classes=16, fp_size=(64, 96), fv_size=(48, 80), variant=variant,
+        rng=Rng(21), r1=4, r2=4, width_multiplier=0.125)
+    h = hashlib.sha256()
+    for seed, n in ((22, 1), (23, 3)):
+        fp, fv = batch_images(seed, n, fp_hw=(64, 96), fv_hw=(48, 80))
+        h.update(m.forward_batch(fp, fv, "eval").data.tobytes())
+    return h.hexdigest()
+
+
+# gate_eval_digest per variant. The batch-1 eval forward is the recognize
+# benchmark's query path; a change that moves these bytes, even in the last
+# place, updates the pins and says so in CHANGES.md.
+EVAL_SHA256 = {
+    "CSAFM": "2c661ae9c940f25fa330d8765e2ec809210626e6b87aad8cf771c9036f951099",
+    "CHANNEL_ONLY": "29414b3da2d6f05ae42513cc3fd245d7c01bc5fc9219a2af40e648c3a7ccc699",
+    "SPATIAL_ONLY": "b4f1ba67d4b1a6ff9d87aa9dc006eaabf7410ebf9761290f43760ae406dc7388",
+    "PARALLEL_CS": "98d02d1b9494a9c7d147385d2240a960314326f7f424df58319604f914d1ba25",
+    "SEQ_SC": "682644e0ac738ded98e482ea136d5ef351cbc03d8cd410e2fe3d851db12f4bf9",
+    "SERIAL_SUM": "073da031dc0574400ffb45ad9e95641a9e106abc378dc8659feee8d185f2e8bd",
+    "PARALLEL_CONCAT": "739d0bf1f7afb58ee124749508a10d83334dd877c1f2cf2c48161966f9a4b919",
+}
+
+
+class TestEvalBits:
+    @pytest.mark.parametrize("variant", list(FusionVariant), ids=lambda v: v.name)
+    def test_gate_shape_eval_logits_pinned_bytes(self, variant):
+        assert gate_eval_digest(variant) == EVAL_SHA256[variant.name]
+
+
 class TestUnimodal:
     def test_uses_only_its_modality(self):
         m = UnimodalClassifier.build(classes=4, image_size=(24, 24),

@@ -45,12 +45,15 @@ TRIMMED_TAPS = {
     "stride2_overhang": (1, 3, 3, 3, 4, 7, 2, 3),  # first and last taps of each axis dead
     "map_1x9": (2, 4, 1, 9, 3, 7, 1, 3),           # one live kernel row
     "map_1x1_k3": (2, 5, 1, 1, 3, 3, 1, 1),        # one live tap
-    "single_channel_trimmed": (2, 1, 2, 3, 4, 7, 1, 3),  # c = 1 dw path with trimmed taps
+    "single_channel_trimmed": (2, 1, 2, 3, 4, 7, 1, 3),  # c = 1 with trimmed taps
+    "empty_row_hull": (2, 3, 1, 4, 2, 1, 2, 1),  # every kernel row reads padding
 }
 
 
-# (n, c, h, w, co, k, stride, pad) shapes with c > co, on which conv2d's
-# forward runs one GEMM per live kernel row, or one GEMM when pointwise
+# (n, c, h, w, co, k, stride, pad) shapes with c > co: conv2d's forward
+# runs one GEMM per live kernel row on the paper shape, where the kernel is
+# taller than the map, and im2col on narrowing_k1 and
+# narrowing_stride2_dead_tap
 NARROWING = {
     "paper_3x7_narrowing": (2, 512, 3, 7, 32, 7, 1, 3),  # the paper's 512->32 attention conv
     "narrowing_stride2_dead_tap": (2, 6, 1, 3, 4, 3, 2, 2),  # kernel row 1 reads only padding
@@ -260,8 +263,8 @@ class TestConvBackward:
         p = conv_params(rng, 4, 3, 7, 1, 3, dtype=np.float32)
         y = ops.conv2d(x, p)
         y.backward(rand_t(rng, y.dims).data)
-        assert ops._live_taps(7, 1, 3, 2, 2) == (2, 5)
-        assert ops._live_taps(7, 1, 3, 3, 3) == (1, 6)
+        assert [t for t, _, _ in ops._tap_windows(7, 1, 3, 2, 2)] == [2, 3, 4]
+        assert [t for t, _, _ in ops._tap_windows(7, 1, 3, 3, 3)] == [1, 2, 3, 4, 5]
         live = np.zeros((7, 7), dtype=bool)
         live[2:5, 1:6] = True
         dead = p.weight.grad[:, :, ~live]
@@ -354,12 +357,6 @@ class TestTapWindows:
                     (outs, ins), = got
                     assert list(range(o)[outs]) == list(reads), (k, s, pad, size, t)
                     assert list(range(size)[ins]) == list(reads.values()), (k, s, pad, size, t)
-                live = range(*ops._live_taps(k, s, pad, size, o))
-                assert {t for t, _, _ in taps} <= set(live), (k, s, pad, size)
-                if size >= s:
-                    # a stride longer than the input can step over it, so that a
-                    # tap in the live range reads only padding; otherwise exact
-                    assert [t for t, _, _ in taps] == list(live), (k, s, pad, size)
 
 
 class TestLiveTaps:
@@ -369,8 +366,9 @@ class TestLiveTaps:
         # the backbone's convolutions trim nothing, so their bits cannot move
         for k, s, pad in zip(KERNELS, CONV_STRIDES, CONV_PADS):
             oh, ow = ops.conv_out_size(h, k, s, pad), ops.conv_out_size(w, k, s, pad)
-            assert ops._live_taps(k, s, pad, h, oh) == (0, k), (h, k, s, pad)
-            assert ops._live_taps(k, s, pad, w, ow) == (0, k), (w, k, s, pad)
+            for size, o in ((h, oh), (w, ow)):
+                taps = [t for t, _, _ in ops._tap_windows(k, s, pad, size, o)]
+                assert taps == list(range(k)), (size, k, s, pad)
             h = ops.conv_out_size(oh, POOL_K, POOL_S, POOL_P)
             w = ops.conv_out_size(ow, POOL_K, POOL_S, POOL_P)
 
