@@ -67,11 +67,22 @@ def _build_model(cfg: RunConfig, dataset) -> object:
     )
 
 
+def _out_dir(path: str) -> Path:
+    """path, made a directory with its parents. An empty path would write
+    into the working directory, so it is an error, as is a path to a file."""
+    if not path:
+        raise ConfigError("output directory path is empty")
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot make output directory {path}: {e}") from None
+    return Path(path)
+
+
 def train_and_write(cfg: RunConfig, quiet: bool = False) -> dict:
     """Train per config and write weights.csafm, history.csv and summary.json
     to cfg.out_dir; returns the summary. Shared by train and ablate's workers."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg.out_dir)
     t0 = time.monotonic()
     dataset = resolve_dataset(cfg)
     model = _build_model(cfg, dataset)
@@ -160,8 +171,7 @@ def _blas_pinned_pool(workers: int):
 def cmd_ablate(args) -> int:
     cfg = _load_run_config(args)
     workers = min(len(_ABLATION_ORDER), _worker_cap())
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg.out_dir)
     rows: dict[str, tuple[float, float]] = {}
     with _blas_pinned_pool(workers) as pool:
         runs = {v: pool.submit(train_and_write, replace(
@@ -185,8 +195,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_synth(args) -> int:
     spec = SynthSpec.from_dict(load_json(args.spec)) if args.spec else SynthSpec()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     rng = Rng(derive_seed(args.seed, "synthdata"))
     n = synth_write(spec, rng, out)
     _progress(f"wrote {n} PGM files across {spec.classes} classes under {out}")
@@ -202,7 +211,7 @@ def _load_run_config(args) -> RunConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         cfg = replace(cfg, out_dir=args.out)
     return cfg
 

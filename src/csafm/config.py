@@ -11,15 +11,15 @@ from typing import Optional
 from .data import SynthSpec, ingest_dir, synth_generate
 from .errors import ConfigError
 from .fusion import FusionVariant
-from .model import _META_TYPES
+from .model import read_fields
 from .tensor import Rng, derive_seed
 
 _MODALITIES = ("fused", "fp", "fv")
-# JSON type of each scalar key, as the weight-file header checks its meta
-_SCALARS = {
-    "seed": "int", "modality": "str", "r1": "int", "r2": "int", "lr": "number",
-    "batch": "int", "epochs": "int", "width_multiplier": "number",
-    "literal_double_mul": "bool", "out_dir": "str",
+# JSON type of each config key (model.JSON_TYPES); from_dict reads dataset's three forms
+_FIELDS = {
+    "seed": "int", "dataset": "any", "variant": "str", "modality": "str", "r1": "int",
+    "r2": "int", "lr": "float", "batch": "int", "epochs": "int", "split": "fractions",
+    "width_multiplier": "float", "literal_double_mul": "bool", "out_dir": "str",
 }
 
 
@@ -76,41 +76,20 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        if not isinstance(d, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
-        extra = set(d) - set(_SCALARS) - {"dataset", "variant", "split"}
-        if extra:
-            raise ConfigError(f"unknown config keys: {sorted(extra)}")
-        kw: dict = {}
-        ds = d.get("dataset")
-        if ds is not None:
-            if isinstance(ds, str):
-                kw["dataset_path"] = ds
-            elif isinstance(ds, dict) and set(ds) == {"path"} and isinstance(ds["path"], str):
-                kw["dataset_path"] = ds["path"]
-            elif isinstance(ds, dict) and set(ds) == {"synth"}:
-                kw["synth"] = SynthSpec.from_dict(ds["synth"])
-            else:
-                raise ConfigError(
-                    'dataset must be a path string, {"path": ...}, or {"synth": {...}}'
-                )
-        else:
+        kw = read_fields(d, _FIELDS, "config", ConfigError)
+        ds = kw.pop("dataset", None)
+        if ds is None:
             kw["synth"] = SynthSpec()
-        if "variant" in d:
-            kw["variant"] = FusionVariant.from_tag(str(d["variant"]))
-        for name, want in _SCALARS.items():
-            if name in d:
-                v = d[name]
-                if not _META_TYPES[want](v):
-                    raise ConfigError(
-                        f"{name} is {v!r}, expected {'true or false' if want == 'bool' else want}")
-                kw[name] = float(v) if want == "number" else v
-        if "split" in d:
-            s = d["split"]
-            if not (isinstance(s, (list, tuple)) and len(s) == 3
-                    and all(map(_META_TYPES["number"], s))):
-                raise ConfigError(f"split must be a list of three fractions, got {s!r}")
-            kw["split"] = tuple(float(x) for x in s)
+        elif isinstance(ds, str):
+            kw["dataset_path"] = ds
+        elif isinstance(ds, dict) and set(ds) == {"path"} and isinstance(ds["path"], str):
+            kw["dataset_path"] = ds["path"]
+        elif isinstance(ds, dict) and set(ds) == {"synth"}:
+            kw["synth"] = SynthSpec.from_dict(ds["synth"])
+        else:
+            raise ConfigError('dataset must be a path string, {"path": ...}, or {"synth": {...}}')
+        if "variant" in kw:
+            kw["variant"] = FusionVariant.from_tag(kw["variant"])
         return cls(**kw)
 
 

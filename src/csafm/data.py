@@ -38,10 +38,10 @@ from .errors import (
     PairingError,
     PgmFormatError,
 )
-from .model import _META_TYPES
+from .model import read_fields
 from .tensor import Rng, Tensor, derive_seed
 
-# JSON type of each synthesis spec key, as the weight-file header checks its meta
+# JSON type of each synthesis spec key (model.JSON_TYPES)
 _SPEC_TYPES = {"grid": "size", "fp_size": "size", "fv_size": "size",
                "noise_sigma": "number", "textures_seed": "int", "samples_per_class": "int"}
 
@@ -83,15 +83,7 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthSpec":
-        if not isinstance(d, dict):
-            raise ConfigError(f"synth spec must be a JSON object, got {d!r}")
-        extra = set(d) - set(_SPEC_TYPES)
-        if extra:
-            raise ConfigError(f"unknown synth spec keys: {sorted(extra)}")
-        for k, v in d.items():
-            if not _META_TYPES[_SPEC_TYPES[k]](v):
-                raise ConfigError(f"synth spec {k} is {v!r}, expected {_SPEC_TYPES[k]}")
-        return cls(**{k: tuple(v) if _SPEC_TYPES[k] == "size" else v for k, v in d.items()})
+        return cls(**read_fields(d, _SPEC_TYPES, "synth spec", ConfigError))
 
 
 # -- PGM (P5) --------------------------------------------------------------

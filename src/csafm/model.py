@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -36,6 +37,7 @@ from .errors import (
     ConfigError,
     DimensionError,
     ParameterError,
+    WeightFileError,
     WeightFileMagicError,
     WeightFileShapeError,
     WeightFileStructureError,
@@ -214,23 +216,47 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-_META_TYPES = {
-    "int": _is_int,
-    "number": lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
-    "bool": lambda v: isinstance(v, bool),
-    "str": lambda v: isinstance(v, str),
-    "size": lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
+def _is_number(v) -> bool:
+    """A finite float, or an int that float() converts without overflow."""
+    return (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
+
+
+# JSON type name -> (check, conversion of a value that passes, or None to keep it)
+JSON_TYPES = {
+    "int": (_is_int, None),
+    "number": (_is_number, None),
+    "float": (_is_number, float),
+    "bool": (lambda v: isinstance(v, bool), None),
+    "str": (lambda v: isinstance(v, str), None),
+    "size": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)), tuple),
+    "fractions": (lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_number, v)),
+                  lambda v: tuple(map(float, v))),
+    "any": (lambda v: True, None),
 }
 
 
-def _field(meta: dict, key: str, want: str):
-    """meta[key], checked for presence and JSON type; its value the builders check."""
-    if key not in meta:
-        raise WeightFileStructureError(f"header meta lacks {key!r}")
-    if not _META_TYPES[want](meta[key]):
-        raise WeightFileStructureError(
-            f"header meta {key!r} is {meta[key]!r}, expected {want}")
-    return meta[key]
+def read_fields(d, types: dict, what: str, error: type, *, required: bool = False,
+                closed: bool = True) -> dict:
+    """The keys of JSON object d that types names, each checked against its
+    JSON_TYPES entry and converted by it; what names d in error messages.
+    required: every key must be present; closed: no other key may be."""
+    if not isinstance(d, dict):
+        raise error(f"{what} must be a JSON object, got {type(d).__name__}")
+    extra = set(d) - set(types)
+    if closed and extra:
+        raise error(f"unknown {what} keys: {sorted(extra)}")
+    out = {}
+    for key, want in types.items():
+        if key not in d:
+            if required:
+                raise error(f"{what} lacks {key!r}")
+            continue
+        check, convert = JSON_TYPES[want]
+        if not check(d[key]):
+            raise error(f"{what} {key!r} is {d[key]!r}, expected "
+                        f"{'true or false' if want == 'bool' else want}")
+        out[key] = convert(d[key]) if convert else d[key]
+    return out
 
 
 # kind -> (builder, {meta key: JSON type}); the keys are the builder's keyword arguments
@@ -245,22 +271,19 @@ _KINDS = {
 }
 
 
-def _meta_args(meta) -> tuple[str, dict]:
-    """(kind, keyword arguments of that kind's build) read from a header meta."""
-    if not isinstance(meta, dict):
-        raise WeightFileStructureError(
-            f"header meta is a {type(meta).__name__}, not an object")
-    kind = meta.get("kind")
-    if not isinstance(kind, str) or kind not in _KINDS:
-        raise WeightFileStructureError(f"unknown model kind {kind!r} in header")
-    args = {}
-    for key, want in _KINDS[kind][1].items():
-        v = _field(meta, key, want)
-        if want == "size":
-            v = tuple(v)
-        elif key == "variant":
-            v = FusionVariant.from_tag(v)
-        args[key] = v
+def _meta_args(meta, path) -> tuple[str, dict]:
+    """(kind, keyword arguments of that kind's build) read from a header meta.
+    Values other than sizes and the variant pass through as the file holds
+    them, so a reloaded file saves the same bytes."""
+    what = f"{path}: header meta"
+    kind = read_fields(meta, {"kind": "str"}, what, WeightFileStructureError,
+                       required=True, closed=False)["kind"]
+    if kind not in _KINDS:
+        raise WeightFileStructureError(f"{path}: unknown model kind {kind!r} in header")
+    args = read_fields(meta, _KINDS[kind][1], what, WeightFileStructureError,
+                       required=True, closed=False)
+    if "variant" in args:
+        args["variant"] = FusionVariant.from_tag(args["variant"])
     return kind, args
 
 
@@ -345,8 +368,11 @@ def save(m: AnyModel, path) -> None:
 
 
 def load(path) -> AnyModel:
-    with open(path, "rb") as fh:
-        buf = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            buf = fh.read()
+    except OSError as e:
+        raise WeightFileError(f"cannot read {path}: {e}") from None
     if len(buf) < 4:
         raise WeightFileTruncatedError(f"{path}: file shorter than magic")
     if buf[:4] != MAGIC:
@@ -371,7 +397,7 @@ def load(path) -> AnyModel:
             f"{path}: header tensors is a {type(declared).__name__}, not a list")
     blobs = _read_blobs(buf, 12 + hlen, declared, path)
     try:
-        kind, args = _meta_args(header["meta"])
+        kind, args = _meta_args(header["meta"], path)
         model = _KINDS[kind][0].build(rng=_ZeroDraws(sum(b.size for b in blobs), path), **args)
     except (ConfigError, DimensionError, ParameterError) as e:
         raise WeightFileStructureError(f"{path}: header meta describes no model: {e}") from None

@@ -199,6 +199,38 @@ class TestEval:
         assert rc == 2
         assert "lacks 'classes'" in err
 
+    @pytest.mark.parametrize("weights", ["missing.csafm", "."], ids=["missing", "directory"])
+    def test_unreadable_weights_exit_2(self, tmp_path, config_file, capsys, weights):
+        path, _ = config_file()
+        rc, out, err = run_cli(capsys, "eval", "--weights", str(tmp_path / weights),
+                               "--config", str(path))
+        assert rc == 2 and out == ""
+        assert "cannot read" in err
+
+
+class TestOutputPaths:
+    # the config's out_dir is empty; --out, where given, overrides it
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--out", ""], ["synth", "--out", "afile"],
+        ["train", "--out", ""], ["train", "--out", "afile"], ["train"],
+        ["ablate", "--out", ""], ["ablate", "--out", "afile"], ["ablate"],
+    ], ids=lambda argv: "_".join(a or "empty" for a in argv))
+    def test_bad_output_path_exits_2_and_writes_nothing(self, tmp_path, config_file, capsys,
+                                                        monkeypatch, argv):
+        """An empty path once wrote into the working directory or was ignored,
+        and a path to a file ended in a FileExistsError traceback."""
+        path, cfg = config_file(epochs=1)
+        path.write_text(json.dumps({**cfg, "out_dir": ""}))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("not a directory")
+        before = sorted(tmp_path.rglob("*"))
+        config = [] if argv[0] == "synth" else ["--config", str(path)]
+        rc, _, err = run_cli(capsys, *argv, *config)
+        assert rc == 2
+        assert ("output directory afile" if "afile" in argv
+                else "output directory path is empty") in err
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 class TestAblate:
     def test_seven_row_table(self, tmp_path, config_file, capsys):

@@ -16,6 +16,8 @@ from csafm import (
     FusionVariant,
     ParameterError,
     Rng,
+    RunConfig,
+    SynthSpec,
     Tensor,
     UnimodalClassifier,
     WeightFileError,
@@ -422,6 +424,48 @@ class TestMalformedHeader:
                          + struct.pack("<4I", *b_decl["dims"]) + raw[b_at + 16 : b_at + 20])
         with pytest.raises(WeightFileStructureError, match="need at least 2 classes"):
             load(path)
+
+
+class TestReadersAgree:
+    """The run config, the synth spec and the weight-file meta are read by one
+    reader, so each refuses the same bad values, with its own error class and
+    a message that names the key."""
+
+    @staticmethod
+    def read(reader, key, value, path, rewrite_header):
+        if reader == "config":
+            RunConfig.from_dict({key: value})
+        elif reader == "synth spec":
+            SynthSpec.from_dict({key: value})
+        else:
+            save(small_fused(), path)
+            rewrite_header(path, _set(key, value))
+            load(path)
+
+    @pytest.mark.parametrize("value", [True, 2.5, "3", [8]], ids=repr)
+    @pytest.mark.parametrize("reader, key, error", [
+        ("config", "batch", ConfigError),
+        ("config", "split", ConfigError),
+        ("synth spec", "samples_per_class", ConfigError),
+        ("synth spec", "grid", ConfigError),
+        ("meta", "classes", WeightFileStructureError),
+        ("meta", "fp_size", WeightFileStructureError),
+    ])
+    def test_bad_value_names_its_key(self, tmp_path, rewrite_header, reader, key, error,
+                                     value):
+        with pytest.raises(error, match=f"'{key}' is {re.escape(repr(value))}"):
+            self.read(reader, key, value, tmp_path / "w.csafm", rewrite_header)
+
+    @pytest.mark.parametrize("reader, key, error", [
+        ("config", "lr", ConfigError),
+        ("meta", "width_multiplier", WeightFileStructureError),
+    ])
+    def test_int_beyond_float_range_is_no_number(self, tmp_path, rewrite_header, reader, key,
+                                                 error):
+        """JSON reads 10**400 as an int, which float() cannot convert: the
+        config once raised OverflowError from its float() of lr."""
+        with pytest.raises(error, match=f"'{key}'"):
+            self.read(reader, key, 10 ** 400, tmp_path / "w.csafm", rewrite_header)
 
 
 def gate_fused():
