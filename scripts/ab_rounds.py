@@ -2,16 +2,17 @@
 
     python3 scripts/ab_rounds.py --base HEAD~1 --workload fusion_paper --rounds 20 --workdir /tmp/ab
 
-Each round runs one benchmark workload, the function perfbench/run.py calls
-from perfbench/workloads.py, once on each side for --seconds, the side that
-goes first alternating from round to round; round i runs seed i on both
-sides. The base revision's committed files are exported with `git archive`
-into a fresh directory under --workdir, as record_bench.py does. Both
-checkouts' `csafm` and benchmark modules are then imported into this
-process: `sys.modules` is purged of them between the two imports, and each
-side's workload keeps its own module objects. BLAS runs on one thread, as
-run.py pins it. One untimed round per side goes first, so the cached
-weights and warm buffers a workload makes on its first call are not timed.
+Each round runs one of BENCHMARK.json's workloads, the function
+perfbench/run.py calls from perfbench/workloads.py, once on each side for
+--seconds, the side that goes first alternating from round to round; round i
+runs seed i on both sides. The base revision's committed files are exported
+with `git archive` into a fresh directory under --workdir, as
+record_bench.py does. Both checkouts' `csafm` and benchmark modules are then
+imported into this process: `sys.modules` is purged of them between the two
+imports, and each side's workload keeps its own module objects. BLAS runs on
+one thread, as run.py pins it. One untimed round per side goes first, so the
+cached weights and warm buffers a workload makes on its first call are not
+timed.
 
 It prints each side's median of the rounds' op_ms_mean, the median over
 rounds of the paired ratio change/base, and how many rounds the change won.
@@ -25,6 +26,7 @@ rounds pair each measurement with one taken moments apart.
 from __future__ import annotations
 
 import argparse
+import json
 import statistics
 import sys
 from pathlib import Path
@@ -57,8 +59,8 @@ def load_workload(checkout: Path, name: str):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="revision to compare against")
-    ap.add_argument("--workload", required=True,
-                    choices=("train_gate", "recognize", "fusion_paper"))
+    ap.add_argument("--workload", required=True, choices=[
+        w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]])
     ap.add_argument("--rounds", type=int, default=20)
     ap.add_argument("--seconds", type=float, default=5.0,
                     help="seconds each side runs the workload per round")

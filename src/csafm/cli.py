@@ -67,25 +67,35 @@ def _build_model(cfg: RunConfig, dataset) -> object:
     )
 
 
-def _out_dir(path: str) -> Path:
-    """path, made a directory with its parents. An empty path would write
-    into the working directory, so it is an error, as is a path to a file."""
+def _check_out_dir(path: str) -> Path:
+    """path, checked without making it. An empty path would write into the
+    working directory, so it is an error, as is a path to a file."""
     if not path:
         raise ConfigError("output directory path is empty")
+    out = Path(path)
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"cannot make output directory {path}: it is not a directory")
+    return out
+
+
+def _out_dir(path: str) -> Path:
+    """path, checked and made a directory with its parents."""
+    out = _check_out_dir(path)
     try:
-        Path(path).mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise ConfigError(f"cannot make output directory {path}: {e}") from None
-    return Path(path)
+    return out
 
 
 def train_and_write(cfg: RunConfig, quiet: bool = False) -> dict:
     """Train per config and write weights.csafm, history.csv and summary.json
-    to cfg.out_dir; returns the summary. Shared by train and ablate's workers."""
-    out = _out_dir(cfg.out_dir)
+    to cfg.out_dir; returns the summary. Run by train's and ablate's workers.
+    A run refused for its dataset or model makes no directory."""
     t0 = time.monotonic()
     dataset = resolve_dataset(cfg)
     model = _build_model(cfg, dataset)
+    out = _out_dir(cfg.out_dir)
 
     def report(epoch, loss, val):
         if not quiet:
@@ -112,7 +122,9 @@ def train_and_write(cfg: RunConfig, quiet: bool = False) -> dict:
 
 
 def cmd_train(args) -> int:
-    train_and_write(_load_run_config(args))
+    cfg = _load_run_config(args)
+    _check_out_dir(cfg.out_dir)  # before a worker spends time on the dataset
+    _train_in_workers([cfg])
     return 0
 
 
@@ -168,26 +180,38 @@ def _blas_pinned_pool(workers: int):
             os.environ.pop(v, None)
 
 
-def cmd_ablate(args) -> int:
-    cfg = _load_run_config(args)
-    workers = min(len(_ABLATION_ORDER), _worker_cap())
-    out = _out_dir(cfg.out_dir)
-    rows: dict[str, tuple[float, float]] = {}
-    with _blas_pinned_pool(workers) as pool:
-        runs = {v: pool.submit(train_and_write, replace(
-                    cfg, modality="fused", variant=FusionVariant[v],
-                    out_dir=str(out / "variants" / v)), True)
-                for v in _ABLATION_ORDER}
-        for variant, run in runs.items():
+def _train_in_workers(cfgs: list[RunConfig], workers: int = 1) -> list[dict]:
+    """train_and_write each config in a pinned pool of at most `workers`
+    processes; returns the summaries in config order. One run reports each
+    epoch. Several run quietly, each reporting its test CIR as it completes,
+    and a failed run's error names its variant."""
+    quiet = len(cfgs) > 1
+    summaries = []
+    with _blas_pinned_pool(min(len(cfgs), workers)) as pool:
+        runs = [pool.submit(train_and_write, cfg, quiet) for cfg in cfgs]
+        for cfg, run in zip(cfgs, runs):
             try:
                 summary = run.result()
             except CsafmError as e:
                 pool.shutdown(cancel_futures=True)
-                raise type(e)(f"variant {variant} failed: {e}") from None
-            rows[variant] = (summary["best_val_cir"], summary["test_cir"])
-            _progress(f"{variant}: test_cir {summary['test_cir']:.2f}")
+                if not quiet:
+                    raise
+                raise type(e)(f"variant {cfg.variant.name} failed: {e}") from None
+            if quiet:
+                _progress(f"{cfg.variant.name}: test_cir {summary['test_cir']:.2f}")
+            summaries.append(summary)
+    return summaries
+
+
+def cmd_ablate(args) -> int:
+    cfg = _load_run_config(args)
+    out = _check_out_dir(cfg.out_dir)
+    summaries = _train_in_workers(
+        [replace(cfg, modality="fused", variant=FusionVariant[v],
+                 out_dir=str(out / "variants" / v)) for v in _ABLATION_ORDER], _worker_cap())
     lines = ["variant,best_val_cir,test_cir"]
-    lines += [f"{v},{rows[v][0]:.6f},{rows[v][1]:.6f}" for v in _ABLATION_ORDER]
+    lines += [f"{v},{s['best_val_cir']:.6f},{s['test_cir']:.6f}"
+              for v, s in zip(_ABLATION_ORDER, summaries)]
     (out / "ablation.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     _progress(f"wrote {out / 'ablation.csv'}")
     return 0

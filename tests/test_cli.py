@@ -8,9 +8,13 @@ import sys
 import numpy as np
 import pytest
 
-from csafm import DataError, FpvCsafmModel, FusionVariant, Rng, UnimodalClassifier, save
+from csafm import (
+    DataError, FpvCsafmModel, FusionVariant, Rng, RunConfig, UnimodalClassifier, save,
+)
+from csafm import cli
 from csafm.cli import (
     _ABLATION_ORDER, _BLAS_VARS, _blas_pinned_pool, _worker_cap, build_parser, cmd_ablate, main,
+    train_and_write,
 )
 from csafm import verify
 
@@ -55,9 +59,10 @@ class TestSynth:
 
 
 class TestTrain:
-    def test_outputs_and_summary_schema(self, config_file, capsys):
+    # the run's progress lines come from its worker, on the fd 2 it inherited
+    def test_outputs_and_summary_schema(self, config_file, capfd):
         path, cfg = config_file()
-        rc, out, err = run_cli(capsys, "train", "--config", str(path))
+        rc, out, err = run_cli(capfd, "train", "--config", str(path))
         assert rc == 0
         assert out == ""  # results go to files, progress to stderr
         assert "epoch 1/2" in err
@@ -103,6 +108,38 @@ class TestTrain:
         assert rc == 0
         summary = json.loads((tmp_path / "uni" / "summary.json").read_text())
         assert summary["modality"] == "fp"
+
+    def test_trains_in_one_pinned_worker(self, config_file, capsys, monkeypatch):
+        # a patch does not reach the spawn child, so the spy stays in this process
+        workers = []
+
+        def spy(n):
+            workers.append(n)
+            return _blas_pinned_pool(n)
+
+        monkeypatch.setattr(cli, "_blas_pinned_pool", spy)
+        path, _ = config_file(epochs=1)
+        rc, _, _ = run_cli(capsys, "train", "--config", str(path))
+        assert rc == 0 and workers == [1]
+        assert (path.parent / "run" / "weights.csafm").is_file()
+
+    def test_module_entry_point_matches_in_process_run(self, tmp_path, config_file):
+        """`python -m csafm.cli train`, as perfbench's recognize workload runs
+        it, hands a function of `__main__` to its spawn worker. Its weights are
+        those train_and_write makes in this process."""
+        path, cfg = config_file()
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "csafm.cli", "train", "--config", str(path),
+             "--out", str(tmp_path / "cli")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "epoch 1/" in proc.stderr
+        train_and_write(RunConfig.from_dict({**cfg, "out_dir": str(tmp_path / "here")}),
+                        quiet=True)
+        assert ((tmp_path / "cli" / "weights.csafm").read_bytes()
+                == (tmp_path / "here" / "weights.csafm").read_bytes())
 
     def test_bad_config_reports_error(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -231,6 +268,22 @@ class TestOutputPaths:
                 else "output directory path is empty") in err
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("fault, msg", [
+        ({"dataset": "nope"}, "is not a directory"),
+        ({"width_multiplier": 1e308}, "overflows"),
+    ], ids=["missing_dataset", "overflowing_width"])
+    def test_refused_run_makes_no_directory(self, tmp_path, config_file, capsys, monkeypatch,
+                                            command, fault, msg):
+        """A run refused for its dataset or its model once left an empty
+        output directory, and ablate one empty directory per variant."""
+        path, _ = config_file(epochs=1, **fault)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        rc, _, err = run_cli(capsys, command, "--config", str(path), "--out", "o")
+        assert rc == 2 and msg in err
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 class TestAblate:
     def test_seven_row_table(self, tmp_path, config_file, capsys):
@@ -248,8 +301,8 @@ class TestAblate:
 
     def test_parallel_matches_sequential(self, tmp_path, config_file, capsys,
                                          monkeypatch):
-        """One worker and four write the same table, and a worker's run is the
-        one `csafm train` makes in process."""
+        """One worker and four write the same table, and `csafm train` on the
+        config makes the ablation's CSAFM run."""
         path, _ = config_file(epochs=1)
         for threads in ("1", "4"):
             monkeypatch.setenv("CSAFM_THREADS", threads)
