@@ -6,7 +6,8 @@ The base revision's committed files are exported with `git archive` into a
 fresh directory under --workdir; the change is this checkout as it stands,
 uncommitted edits and new files included, copied into another. Both sides
 run from fresh directories because the directory a run starts in moves
-`fusion_paper` peak_rss_mb by a few MiB with the same code. So with a
+`fusion_paper` peak_rss_mb by a few MiB with the same code, and the two
+directory names have one length, as that length moves it too. So with a
 change committed, --base HEAD~1 names its parent. For each workload in BENCHMARK.json it runs
 `perfbench/run.py` for BENCHMARK.json's run_seconds, in 10 pairs of base and
 change at --trace 0, then 2 pairs at --trace 1. Pair i uses seed i (from 1),
@@ -41,6 +42,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# prefix of each side's export directory; one length, so neither side's path is longer
+EXPORT_PREFIXES = {"base": "base-", "change": "chng-"}
 
 
 def git(*args: str) -> str:
@@ -52,7 +55,7 @@ def export_base(rev: str, workdir: Path) -> Path:
     """The committed files of `rev` in a new directory under workdir."""
     tar = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
                          capture_output=True).stdout
-    dest = Path(tempfile.mkdtemp(prefix="base-", dir=workdir))
+    dest = Path(tempfile.mkdtemp(prefix=EXPORT_PREFIXES["base"], dir=workdir))
     with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
         tf.extractall(dest)
     return dest
@@ -61,7 +64,7 @@ def export_base(rev: str, workdir: Path) -> Path:
 def export_change(workdir: Path) -> Path:
     """The files of this checkout that git tracks or would add, as they stand,
     in a new directory under workdir; tracked files deleted here are left out."""
-    dest = Path(tempfile.mkdtemp(prefix="change-", dir=workdir))
+    dest = Path(tempfile.mkdtemp(prefix=EXPORT_PREFIXES["change"], dir=workdir))
     for rel in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
         if rel and (ROOT / rel).is_file():
             (dest / rel).parent.mkdir(parents=True, exist_ok=True)

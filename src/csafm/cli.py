@@ -58,7 +58,6 @@ def _build_model(cfg: RunConfig, dataset) -> object:
             classes=classes, fp_size=fp_size, fv_size=fv_size,
             variant=cfg.variant, rng=rng, r1=cfg.r1, r2=cfg.r2,
             width_multiplier=cfg.width_multiplier,
-            literal_double_mul=cfg.literal_double_mul,
         )
     size = fp_size if cfg.modality == "fp" else fv_size
     return UnimodalClassifier.build(
@@ -69,12 +68,13 @@ def _build_model(cfg: RunConfig, dataset) -> object:
 
 def _check_out_dir(path: str) -> Path:
     """path, checked without making it. An empty path would write into the
-    working directory, so it is an error, as is a path to a file."""
+    working directory, so it is an error, as is a path to a file or through one."""
     if not path:
         raise ConfigError("output directory path is empty")
     out = Path(path)
-    if out.exists() and not out.is_dir():
-        raise ConfigError(f"cannot make output directory {path}: it is not a directory")
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"cannot make output directory {path}: {nearest} is not a directory")
     return out
 
 

@@ -15,11 +15,11 @@ from .model import read_fields
 from .tensor import Rng, derive_seed
 
 _MODALITIES = ("fused", "fp", "fv")
-# JSON type of each config key (model.JSON_TYPES); from_dict reads dataset's three forms
+# JSON type of each config key (model.JSON_TYPES); from_dict reads dataset's two forms
 _FIELDS = {
     "seed": "int", "dataset": "any", "variant": "str", "modality": "str", "r1": "int",
     "r2": "int", "lr": "float", "batch": "int", "epochs": "int", "split": "fractions",
-    "width_multiplier": "float", "literal_double_mul": "bool", "out_dir": "str",
+    "width_multiplier": "float", "out_dir": "str",
 }
 
 
@@ -45,8 +45,9 @@ class RunConfig:
     epochs: int = 100
     split: tuple[float, float, float] = (0.3, 0.4, 0.3)
     width_multiplier: float = 1.0
-    literal_double_mul: bool = False
     out_dir: str = "runs"
+    # not a field or a config key: perfbench/workloads.py::_build reads it
+    literal_double_mul = False
 
     def __post_init__(self):
         if (self.dataset_path is None) == (self.synth is None):
@@ -82,12 +83,10 @@ class RunConfig:
             kw["synth"] = SynthSpec()
         elif isinstance(ds, str):
             kw["dataset_path"] = ds
-        elif isinstance(ds, dict) and set(ds) == {"path"} and isinstance(ds["path"], str):
-            kw["dataset_path"] = ds["path"]
         elif isinstance(ds, dict) and set(ds) == {"synth"}:
             kw["synth"] = SynthSpec.from_dict(ds["synth"])
         else:
-            raise ConfigError('dataset must be a path string, {"path": ...}, or {"synth": {...}}')
+            raise ConfigError('dataset must be a path string or {"synth": {...}}')
         if "variant" in kw:
             kw["variant"] = FusionVariant.from_tag(kw["variant"])
         return cls(**kw)

@@ -123,19 +123,10 @@ class FusionState(StateTree):
     variant: FusionVariant
     channel: Optional[ChannelAttnState] = None
     spatial: Optional[SpatialAttnState] = None
-    literal_double_mul: bool = False
 
     @classmethod
-    def init(
-        cls,
-        variant: FusionVariant,
-        c: int,
-        r1: int,
-        r2: int,
-        rng: Rng,
-        literal_double_mul: bool = False,
-        dtype=np.float32,
-    ) -> "FusionState":
+    def init(cls, variant: FusionVariant, c: int, r1: int, r2: int, rng: Rng,
+             dtype=np.float32) -> "FusionState":
         if not isinstance(variant, FusionVariant):
             # a tag string would match no gate letters and build a fusion without gates
             raise ConfigError(f"fusion variant must be a FusionVariant, got {variant!r}; "
@@ -144,8 +135,7 @@ class FusionState(StateTree):
             if "C" in _gates(variant) else None
         sp = SpatialAttnState.init(c, r2, rng.spawn("spatial"), dtype=dtype) \
             if "S" in _gates(variant) else None
-        return cls(variant=variant, channel=ch, spatial=sp,
-                   literal_double_mul=literal_double_mul)
+        return cls(variant=variant, channel=ch, spatial=sp)
 
     def named(self):
         if self.channel is not None:
@@ -219,15 +209,10 @@ def spatial_attention_map(x: Tensor, s: SpatialAttnState, mode: str) -> Tensor:
 
 
 def _apply(gate: str, x: Tensor, st: FusionState, mode: str) -> Tensor:
-    """F = A(x) * x for gate "C" (channel map) or "S" (spatial map),
-    times x once more under the literal reading."""
+    """F = A(x) * x for gate "C" (channel map) or "S" (spatial map)."""
     if gate == "C":
-        out = ewise_mul(x, channel_attention_map(x, st.channel))
-    else:
-        out = ewise_mul(x, spatial_attention_map(x, st.spatial, mode))
-    if st.literal_double_mul:
-        out = ewise_mul(out, x)
-    return out
+        return ewise_mul(x, channel_attention_map(x, st.channel))
+    return ewise_mul(x, spatial_attention_map(x, st.spatial, mode))
 
 
 def _soft_select(f_fp: Tensor, f_fv: Tensor, coeffs: list[Tensor]) -> Tensor:
@@ -264,7 +249,6 @@ def csafm_fuse(
     ca: ChannelAttnState,
     sa: SpatialAttnState,
     mode: str,
-    literal_double_mul: bool = False,
     return_parts: bool = False,
 ):
     """Channel-then-spatial attention fusion of two standardized maps.
@@ -272,7 +256,7 @@ def csafm_fuse(
     With return_parts=True also returns the intermediate maps
     {ifi, f_c, f_c_final, f_s, f_s_final} for inspection.
     """
-    st = FusionState(FusionVariant.CSAFM, ca, sa, literal_double_mul)
+    st = FusionState(FusionVariant.CSAFM, ca, sa)
     return _gated_fuse(f_fp, f_fv, st, mode, return_parts)
 
 

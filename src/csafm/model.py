@@ -102,6 +102,10 @@ class FpvCsafmModel(StateTree):
         literal_double_mul: bool = False,
         dtype=np.float32,
     ) -> "FpvCsafmModel":
+        # perfbench/workloads.py::_build passes this keyword and the v1 header
+        # keeps the key, but F = A(x)*x is the one gate formula
+        if literal_double_mul:
+            raise ConfigError("literal_double_mul is not supported; it must be false")
         # spawn() leaves rng untouched, so the order of the parts moves no draw;
         # the head (the fused map, cropped to the smaller branch, flattened)
         # comes first because load's draw budget relies on it (_ZeroDraws)
@@ -110,8 +114,7 @@ class FpvCsafmModel(StateTree):
         head_c = 2 * c if variant is FusionVariant.PARALLEL_CONCAT else c
         head_w, head_b = _head(head_c * min(h1, h2) * min(w1, w2), classes,
                                rng.spawn("head"), dtype)
-        fusion = FusionState.init(variant, c, r1, r2, rng.spawn("fusion"),
-                                  literal_double_mul=literal_double_mul, dtype=dtype)
+        fusion = FusionState.init(variant, c, r1, r2, rng.spawn("fusion"), dtype=dtype)
         return cls(fp_backbone=BackboneState.init(rng.spawn("fp"), width_multiplier, dtype=dtype),
                    fv_backbone=BackboneState.init(rng.spawn("fv"), width_multiplier, dtype=dtype),
                    fusion=fusion, head_w=head_w, head_b=head_b, classes=classes,
@@ -147,7 +150,7 @@ class FpvCsafmModel(StateTree):
             "r1": self.r1,
             "r2": self.r2,
             "width_multiplier": self.width_multiplier,
-            "literal_double_mul": self.fusion.literal_double_mul,
+            "literal_double_mul": False,
             "fp_size": list(self.fp_size),
             "fv_size": list(self.fv_size),
         }

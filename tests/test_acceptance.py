@@ -3,17 +3,16 @@
 The criteria that take seconds are csafm.verify.CHECKS, the list that
 `csafm verify` runs; test_release_check runs each entry as its own test.
 The training gate (test_fused_variants_beat_unimodal_baselines) drives the
-real CLI on the default 16-class synthetic set three times and takes a few
-minutes.
+real CLI on the default 16-class synthetic set three times and takes one to
+two minutes on a 2-vCPU VM.
 """
 
 import json
 import time
 
-import numpy as np
 import pytest
 
-from csafm import ChannelAttnState, FusionVariant, Rng, SpatialAttnState, Tensor, csafm_fuse
+from csafm import FusionVariant
 from csafm.cli import main
 from csafm.verify import CHECKS
 
@@ -41,39 +40,6 @@ def test_release_check(name, check, spent):
         if name in names:
             spent[i] += time.monotonic() - t0
             assert spent[i] < budget, f"{sorted(names)} took {spent[i]:.1f} s together"
-
-
-def rand_t(rng, dims):
-    n = int(np.prod(dims))
-    return Tensor(rng.uniform(n, -1.0, 1.0).astype(np.float32).reshape(dims))
-
-
-def test_zeroed_attention_gives_exact_quarter_sum():
-    """All-zero attention weights reduce fusion to 0.25*(a+b), bit exact;
-    with random weights both gate maps stay strictly inside (0, 1)."""
-    rng = Rng(3003)
-    ca = ChannelAttnState.init(8, 4, rng.spawn("ca"))
-    sa = SpatialAttnState.init(8, 4, rng.spawn("sa"))
-    for _, t in list(ca.parameters()) + list(sa.parameters()):
-        t.data[:] = 0.0
-    for mode in ("train", "eval"):
-        a = rand_t(rng.spawn("a", mode), (2, 8, 5, 5))
-        b = rand_t(rng.spawn("b", mode), (2, 8, 5, 5))
-        z = csafm_fuse(a, b, ca, sa, mode)
-        want = np.float32(0.25) * (a.data + b.data)
-        assert np.array_equal(z.data, want)
-
-    for t in range(100):
-        if t % 25 == 0:
-            g = rng.spawn("init", t)
-            ca = ChannelAttnState.init(8, 4, g.spawn("ca"))
-            sa = SpatialAttnState.init(8, 4, g.spawn("sa"))
-        a = rand_t(rng.spawn("ga", t), (1, 8, 5, 5))
-        b = rand_t(rng.spawn("gb", t), (1, 8, 5, 5))
-        _, parts = csafm_fuse(a, b, ca, sa, "eval", return_parts=True)
-        for key in ("f_c_final", "f_s_final"):
-            v = parts[key].data
-            assert (v > 0.0).all() and (v < 1.0).all()
 
 
 def _train_cli(cfg: dict, path, out) -> dict:

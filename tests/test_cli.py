@@ -248,14 +248,20 @@ class TestEval:
 class TestOutputPaths:
     # the config's out_dir is empty; --out, where given, overrides it
     @pytest.mark.parametrize("argv", [
-        ["synth", "--out", ""], ["synth", "--out", "afile"],
-        ["train", "--out", ""], ["train", "--out", "afile"], ["train"],
-        ["ablate", "--out", ""], ["ablate", "--out", "afile"], ["ablate"],
+        ["synth", "--out", ""], ["synth", "--out", "afile"], ["synth", "--out", "afile/sub"],
+        ["train", "--out", ""], ["train", "--out", "afile"], ["train", "--out", "afile/sub"],
+        ["train"],
+        ["ablate", "--out", ""], ["ablate", "--out", "afile"], ["ablate", "--out", "afile/sub"],
+        ["ablate"],
     ], ids=lambda argv: "_".join(a or "empty" for a in argv))
     def test_bad_output_path_exits_2_and_writes_nothing(self, tmp_path, config_file, capsys,
                                                         monkeypatch, argv):
         """An empty path once wrote into the working directory or was ignored,
-        and a path to a file ended in a FileExistsError traceback."""
+        a path to a file ended in a FileExistsError traceback, and a path
+        through a file started the workers and failed in each as
+        `variant CSAFM failed: ... Not a directory`."""
+        entered = []
+        monkeypatch.setattr(cli, "_blas_pinned_pool", lambda n: entered.append(n))
         path, cfg = config_file(epochs=1)
         path.write_text(json.dumps({**cfg, "out_dir": ""}))
         monkeypatch.chdir(tmp_path)
@@ -264,19 +270,23 @@ class TestOutputPaths:
         config = [] if argv[0] == "synth" else ["--config", str(path)]
         rc, _, err = run_cli(capsys, *argv, *config)
         assert rc == 2
-        assert ("output directory afile" if "afile" in argv
+        out = argv[-1] if len(argv) > 1 else ""
+        assert (f"output directory {out}: afile is not a directory" if out
                 else "output directory path is empty") in err
+        assert "variant" not in err and entered == []
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
     @pytest.mark.parametrize("fault, msg", [
         ({"dataset": "nope"}, "is not a directory"),
         ({"width_multiplier": 1e308}, "overflows"),
-    ], ids=["missing_dataset", "overflowing_width"])
+        ({"literal_double_mul": False}, "unknown config keys: ['literal_double_mul']"),
+    ], ids=["missing_dataset", "overflowing_width", "literal_double_mul_key"])
     def test_refused_run_makes_no_directory(self, tmp_path, config_file, capsys, monkeypatch,
                                             command, fault, msg):
         """A run refused for its dataset or its model once left an empty
-        output directory, and ablate one empty directory per variant."""
+        output directory, and ablate one empty directory per variant. A
+        config naming `literal_double_mul`, no longer a key, is refused too."""
         path, _ = config_file(epochs=1, **fault)
         monkeypatch.chdir(tmp_path)
         before = sorted(tmp_path.rglob("*"))

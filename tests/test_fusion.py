@@ -188,15 +188,6 @@ class TestCsafmFuse:
             csafm_fuse(rand_map(49, (1, 8, 4, 4)), rand_map(50, (1, 8, 4, 5)),
                        ca, sa, "train")
 
-    def test_literal_double_mul_changes_output(self):
-        ca = ChannelAttnState.init(8, 4, Rng(51))
-        sa = SpatialAttnState.init(8, 4, Rng(52))
-        a = rand_map(53, (2, 8, 4, 4))
-        b = rand_map(54, (2, 8, 4, 4))
-        z0 = csafm_fuse(a, b, ca, sa, "train", literal_double_mul=False).data
-        z1 = csafm_fuse(a, b, ca, sa, "train", literal_double_mul=True).data
-        assert not np.array_equal(z0, z1)
-
     def test_gradcheck_full_block(self):
         """Both inputs and every attention parameter, f64, 1x8x4x4."""
         ca = ChannelAttnState.init(8, 4, Rng(55), dtype=np.float64)

@@ -120,6 +120,12 @@ class TestFusedForward:
         with pytest.raises(DimensionError, match="drifted"):
             u.forward_batch(fp, fv, "eval")
 
+    def test_literal_double_mul_refused(self):
+        # the keyword stays for callers that pass False; the gate is F = A(x)*x only
+        with pytest.raises(ConfigError, match="literal_double_mul"):
+            small_fused(literal_double_mul=True)
+        assert small_fused(literal_double_mul=False).meta()["literal_double_mul"] is False
+
     def test_too_few_classes_rejected(self):
         with pytest.raises(ConfigError):
             FpvCsafmModel.build(classes=1, fp_size=(24, 24), fv_size=(24, 24),
@@ -375,13 +381,14 @@ class TestMalformedHeader:
         _set("variant", ["CSAFM"]),
         _set("fp_size", [24]),
         _set("literal_double_mul", 0),
+        _set("literal_double_mul", True),
         lambda h: h.update(tensors=len(h["tensors"])),
         lambda h: h["tensors"][0].update(dims=7),
         _set("kind", "transformer"),
     ], ids=["meta_lacks_classes", "meta_is_list", "width_multiplier_str",
             "classes_float", "variant_list", "fp_size_short",
-            "literal_double_mul_int", "tensors_not_list", "dims_not_list",
-            "kind_transformer"])
+            "literal_double_mul_int", "literal_double_mul_true", "tensors_not_list",
+            "dims_not_list", "kind_transformer"])
     def test_fused_header_rejected(self, tmp_path, rewrite_header, edit):
         path = tmp_path / "w.csafm"
         save(small_fused(), path)
