@@ -17,8 +17,9 @@ timed.
 It prints each side's median of the rounds' op_ms_mean, the median over
 rounds of the paired ratio change/base, and how many rounds the change won.
 It exits 1 after that summary if any run, the untimed ones included,
-reported a failed check or a failed operation: a time taken on wrong
-outputs measures another program.
+reported a failed check or a failed operation, or left a child process
+alive: a time taken on wrong outputs measures another program, and a
+process left behind runs beside the next run and fails the benchmark.
 Separate benchmark runs also carry the drift between processes; alternating
 rounds pair each measurement with one taken moments apart.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import statistics
 import sys
 from pathlib import Path
@@ -56,6 +58,25 @@ def load_workload(checkout: Path, name: str):
     return lambda seed, seconds: workloads.WORKLOADS[name](seed, seconds, layers.NullTracer())
 
 
+def run_passed(out, label: str) -> bool:
+    """Whether the workload run `out` passed; prints why not. A run fails on
+    a failed check or operation, or when it leaves a child process alive,
+    which is then killed."""
+    problems = [f"check failed: {f}" for f in sorted(set(out.failures))]
+    if out.failed:
+        problems.append(f"{out.failed} operations failed")
+    left = multiprocessing.active_children()
+    if left:
+        problems.append(f"{len(left)} child processes left running "
+                        f"({', '.join(p.name for p in left)})")
+    for p in left:
+        p.kill()
+        p.join()
+    for msg in problems:
+        print(f"{msg} on {label}", file=sys.stderr)
+    return not problems
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="revision to compare against")
@@ -76,11 +97,7 @@ def main(argv=None) -> int:
 
     def op_ms_mean(side: str, seed: int) -> float:
         out = runs[side](seed, args.seconds)
-        for f in sorted(set(out.failures)):
-            print(f"check failed on {side}, seed {seed}: {f}", file=sys.stderr)
-        if out.failed:
-            print(f"{out.failed} operations failed on {side}, seed {seed}", file=sys.stderr)
-        if out.failures or out.failed:
+        if not run_passed(out, f"{side}, seed {seed}"):
             failed_runs.append((side, seed))
         return 1000.0 * statistics.fmean(out.op_s)
 
@@ -98,8 +115,8 @@ def main(argv=None) -> int:
           f"{statistics.median(c / b for b, c in pairs):.4f}, "
           f"change faster in {sum(c < b for b, c in pairs)}/{len(pairs)} rounds")
     if failed_runs:
-        print(f"{len(failed_runs)} runs reported failed checks or operations; "
-              f"their times measure wrong outputs", file=sys.stderr)
+        print(f"{len(failed_runs)} runs failed a check or an operation or left a "
+              f"process behind; their times do not count", file=sys.stderr)
         return 1
     return 0
 

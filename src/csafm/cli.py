@@ -165,11 +165,14 @@ _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 @contextmanager
 def _blas_pinned_pool(workers: int):
-    """A spawn pool (fork is unsafe under BLAS threads) whose workers run BLAS
-    at one thread unless the caller set a count. Spawn children read these
-    variables before numpy loads BLAS; the parent's environment comes back on
-    every exit. Spinning OpenBLAS threads made two 2-thread workers on a
-    2-vCPU VM take 165 s on the seed-7 gate ablation, against 46 s at one."""
+    """A pool whose workers run BLAS at one thread unless the caller set a
+    count. It spawns, because BLAS reads these variables once, when numpy
+    loads it: a spawned child imports numpy after they are set, and a
+    forked one would keep the parent's BLAS. (train_loop's validation
+    worker forks on purpose, to run at its parent's thread count.) The
+    parent's environment comes back on every exit. Spinning OpenBLAS
+    threads made two 2-thread workers on a 2-vCPU VM take 165 s on the
+    seed-7 gate ablation, against 46 s at one."""
     unset = [v for v in _BLAS_VARS if v not in os.environ]
     os.environ.update(dict.fromkeys(unset, "1"))
     try:

@@ -308,8 +308,11 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     from the first to the last of them, empty when every tap on an axis
     reads padding. A tap outside them multiplies padding zeros at every
     output pixel, as the 7x7, pad-3 attention convs do on a 3x7 or 1x2
-    fused map. dw is built in a +0 (oc, kh, kw, c) buffer, so a tap that
-    reads only padding keeps +0, and handed over as its (oc, c, kh, kw)
+    fused map. dw is built in an (oc, kh, kw, c) buffer, and a tap that
+    reads only padding gets +0: every form writes the whole hull, so only
+    the frame outside it is zeroed (a full fill cost 153 us on each of the
+    paper's attention convs), unless a stride longer than the map leaves a
+    dead tap inside it. dw is handed over as its (oc, c, kh, kw)
     transpose: the grad has the strides of a he_init weight.
 
     Bits: every form sums in a fixed order, so the bits repeat from run to
@@ -382,7 +385,17 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
 
     def bw(g: np.ndarray) -> None:
         accumulate_grad(p.bias, g.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1), fresh=True)
-        dw = np.zeros((oc, k, k, c), dtype=g.dtype)  # channels-last, as he_init holds w
+        # channels-last, as he_init holds w. Every form below overwrites the
+        # live hull [i0:i1, j0:j1], so only the taps outside it are set to +0,
+        # unless a stride longer than the map leaves dead taps inside it
+        dw = np.empty((oc, k, k, c), dtype=g.dtype)
+        if len(rows) < kh or len(cols) < kw:
+            dw.fill(0)
+        else:
+            dw[:, :i0] = 0
+            dw[:, i1:] = 0
+            dw[:, i0:i1, :j0] = 0
+            dw[:, i0:i1, j1:] = 0
         want_dx = x.requires_grad
         if rows_form:
             # rows; g_h and dx_h are (oh, n, ow, oc) and (h, n, w, c)
@@ -470,28 +483,33 @@ def maxpool2d(x: Tensor, k: int, stride: int, pad: int) -> Tensor:
     Forward copies the k*k shifted, strided slices ("taps") of the
     -inf-padded input into one contiguous (k*k, n, c, oh, ow) buffer, in
     reverse row-major tap order, and takes one np.maximum.reduce over its
-    first axis: no argmax, which eval never needs. A running np.maximum
-    over the k*k strided views, whose inner loops are 1-24 floats long,
-    cost about twice as much at batch 1 over the gate task's ten pools,
-    and as much at batch 16. The reduce returns
-    its second operand on a tie and its first on two NaNs, so the reversed
-    order keeps the first tap's value of a tie, and a 0.0/-0.0 tie gives
-    the first argmax's sign; a window holding NaNs gives its last NaN.
+    first axis. A running np.maximum over the k*k strided views, whose
+    inner loops are 1-24 floats long, cost about twice as much at batch 1
+    over the gate task's ten pools, and as much at batch 16. The reduce
+    returns its second operand on a tie and its first on two NaNs, so the
+    reversed order keeps the first tap's value of a tie, and a 0.0/-0.0
+    tie gives the first argmax's sign; a window holding NaNs gives its
+    last NaN.
     These are the bytes of a running np.maximum from tap 0 on
-    (oracles.maxpool_chain). The buffer lives for the call only.
+    (oracles.maxpool_chain). The buffer lives for the forward only.
 
-    Backward finds the first argmax as the lowest offset whose tap equals
-    the max, and a window whose max is NaN routes to its first NaN, as
-    np.argmax does. The gradient is then added with np.add.at in
-    row-major output order, so an input pixel shared by overlapping
-    windows sums their gradients in a fixed order. It goes straight into
-    the unpadded input, through a flat index built in place in int32 (no
-    argmax lies in the padding), and dx is handed over without a copy:
-    over the gate task's ten pool shapes at batch 16 this backward took
-    17% less time than one that indexed the padded input. The running
-    minimum was the fastest first-argmax search measured: np.argmax over
-    the gathered taps took 3.5 times as long, a lookup of the lowest bit
-    of the packed hits 1.1 times, and a row-then-column argmax 16 times.
+    When the output is a graph node, forward also finds each window's
+    first argmax, as the lowest offset whose tap equals the max, on the
+    buffer's contiguous planes, and keeps only that offset, in uint8, for
+    backward; a window whose max is NaN routes to its first NaN, as
+    np.argmax does. The search on the contiguous planes took 0.70 ms
+    over the gate task's ten pool shapes at batch 16, where the same
+    search over the k*k strided views of the padded input in backward
+    took 1.74 ms. Eval builds no argmax. Backward adds the gradient with
+    np.add.at in row-major output order, so an input pixel shared by
+    overlapping windows sums their gradients in a fixed order. It goes
+    straight into the unpadded input, through a flat index built in place
+    in int32 (no argmax lies in the padding), and dx is handed over
+    without a copy: this took 17% less time than indexing the padded
+    input. The running minimum was the fastest first-argmax search
+    measured: np.argmax over the gathered taps took 3.5 times as long, a
+    lookup of the lowest bit of the packed hits 1.1 times, and a
+    row-then-column argmax 16 times.
     """
     n, c, h, w = x.dims
     oh = conv_out_size(h, k, stride, pad)
@@ -508,33 +526,12 @@ def maxpool2d(x: Tensor, k: int, stride: int, pad: int) -> Tensor:
     # (0, 0); the reshape gathers them in that order in one copy
     taps = _view(xp, (k, k, n, c, oh, ow), (k - 1) * (sh + sw),
                  (-sh, -sw, sn, sc, stride * sh, stride * sw))
-    out = np.maximum.reduce(taps.reshape(kk, n, c, oh, ow), axis=0)
+    buf = taps.reshape(kk, n, c, oh, ow)
+    out = np.maximum.reduce(buf, axis=0)
     if np.isneginf(out).any():
         raise DimensionError("maxpool2d window entirely in padding")
 
-    def tap(t: int) -> np.ndarray:
-        # (n, c, oh, ow) strided view of xp at window offset t = i*k + j
-        i, j = divmod(t, k)
-        return xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-
     def bw(g: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        # first argmax = the lowest offset whose tap equals the max: a running
-        # minimum of (t on a hit, kk elsewhere), in in-place integer ufuncs,
-        # which are 2-3x faster than a masked np.copyto per tap
-        arg = np.full(out.shape, kk, dtype=np.min_scalar_type(kk))
-        hit = np.empty(out.shape, dtype=bool)
-        cand = np.empty_like(arg)
-        for t in range(kk):
-            np.equal(tap(t), out, out=hit)
-            np.multiply(hit, arg.dtype.type(kk - t), out=cand)
-            np.subtract(arg.dtype.type(kk), cand, out=cand)
-            np.minimum(arg, cand, out=arg)
-        nan = arg == kk  # a NaN max equals no tap
-        if nan.any():
-            for t in reversed(range(kk)):
-                arg[nan & np.isnan(tap(t))] = t
         # flat index into x of each window's argmax: its offset (i*w + j), plus
         # the window's top-left cell, which may lie in the padding; the argmax
         # never does, since a max of -inf was rejected above. Built in place,
@@ -548,7 +545,25 @@ def maxpool2d(x: Tensor, k: int, stride: int, pad: int) -> Tensor:
         np.add.at(dx, idx.ravel(), g.ravel())
         accumulate_grad(x, dx.reshape(x.dims), fresh=True)
 
-    return make_node(out, (x,), bw)
+    y = make_node(out, (x,), bw)
+    if y.requires_grad:
+        # first argmax = the lowest offset whose tap equals the max: a running
+        # minimum of (t on a hit, kk elsewhere) over tap t's plane buf[kk-1-t],
+        # in in-place integer ufuncs, which are 2-3x faster than a masked
+        # np.copyto per tap
+        arg = np.full(out.shape, kk, dtype=np.min_scalar_type(kk))
+        hit = np.empty(out.shape, dtype=bool)
+        cand = np.empty_like(arg)
+        for t in range(kk):
+            np.equal(buf[kk - 1 - t], out, out=hit)
+            np.multiply(hit, arg.dtype.type(kk - t), out=cand)
+            np.subtract(arg.dtype.type(kk), cand, out=cand)
+            np.minimum(arg, cand, out=arg)
+        nan = arg == kk  # a NaN max equals no tap
+        if nan.any():
+            for t in reversed(range(kk)):
+                arg[nan & np.isnan(buf[kk - 1 - t])] = t
+    return y
 
 
 def batchnorm(x: Tensor, p: BnParams, mode: str) -> Tensor:

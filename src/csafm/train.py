@@ -4,16 +4,28 @@ The loop is fully deterministic: the split derives from the run seed,
 epoch e shuffles with Rng(seed + e), and every update is plain numpy.
 lr = 0 freezes the model completely (no parameter updates and no
 running-statistic updates), so evaluation metrics cannot drift.
+
+Where the process may use two or more CPUs, epoch e's validation runs in
+a forked worker process on a copy of the model state while the loop
+trains epoch e+1. The worker runs the same `predict` on the same bits at
+the parent's BLAS thread count, so the history and the weights do not
+depend on where it ran.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError, NumericalError, ParameterError
+from .errors import (
+    ConfigError, CsafmError, DataError, DimensionError, NumericalError, ParameterError,
+)
 from .tensor import Rng, Tensor, no_grad
 from .ops import softmax_xent
 
@@ -188,6 +200,94 @@ def split_dataset(dataset, seed: int, fractions) -> tuple[list, np.ndarray, Spli
     return samples, labels, split
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _serve_val(conn, parent_end, model, samples, idxs, batch) -> None:
+    """The validation worker: for each state copy the parent sends, write it
+    into this process's model and reply (True, predictions), or (False, the
+    error). Returns when the parent closes its end of the pipe."""
+    parent_end.close()  # so that a parent's death reads as end of file here
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent ends this process
+    arrays = [arr for _, arr, _ in model.state_entries()]
+    while True:
+        try:
+            state = conn.recv()
+        except EOFError:
+            return
+        for arr, saved in zip(arrays, state):
+            arr[...] = saved
+        try:
+            reply = (True, predict(model, samples, idxs, batch))
+        except Exception as e:
+            reply = (False, e)
+        conn.send(reply)
+
+
+@contextmanager
+def _val_pass(model, samples, idxs, batch: int):
+    """(submit, collect) for the val-split predictions of model states.
+
+    submit(state) starts predict on a state_entries() copy, and collect()
+    returns the predictions of the last state submitted. With two or more
+    usable CPUs and the fork start method, one forked worker predicts
+    while the caller goes on; it inherits the model, the samples and the
+    BLAS state, and it is gone when the block exits. Otherwise submit
+    calls predict on the model in process, which then holds that state.
+    So does a daemonic process, which may start no child, and one that
+    runs other threads: a fork copies only the calling thread, and a lock
+    another thread held at that moment would stay held in the child.
+    """
+    # imported here: a process that only predicts would load it for nothing,
+    # and it raised recognize's peak RSS by 1 MiB
+    import multiprocessing
+
+    if (_usable_cpus() < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon or threading.active_count() > 1):
+        done = []
+        yield (lambda state: done.append(predict(model, samples, idxs, batch))), done.pop
+        return
+    ctx = multiprocessing.get_context("fork")
+    conn, theirs = ctx.Pipe()
+    proc = ctx.Process(target=_serve_val, args=(theirs, conn, model, samples, idxs, batch),
+                       name="csafm-val", daemon=True)
+    proc.start()
+    theirs.close()  # so that the worker's death reads as end of file here
+
+    def died() -> CsafmError:
+        proc.join(5.0)
+        return CsafmError(f"the validation worker exited with code {proc.exitcode}")
+
+    def submit(state) -> None:
+        try:
+            conn.send(state)
+        except OSError:
+            raise died() from None
+
+    def collect() -> np.ndarray:
+        try:
+            ok, got = conn.recv()
+        except (EOFError, OSError):
+            raise died() from None
+        if not ok:
+            raise got
+        return got
+
+    try:
+        yield submit, collect
+    except BaseException:
+        proc.kill()  # it may be mid-predict, on a state nobody will read
+        raise
+    finally:
+        conn.close()  # an idle worker reads end of file and returns
+        proc.join(5.0)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+
+
 def train_loop(
     model,
     dataset,
@@ -196,8 +296,12 @@ def train_loop(
 ) -> TrainResult:
     """Run cfg.epochs of shuffled mini-batch Adam; keep the best-val weights.
 
-    The model ends restored to its best-validation state; test CIR is
-    computed on that state.
+    After each epoch's last Adam step the model state is copied, and its
+    val-split predictions run beside the next epoch's training (see
+    _val_pass). So epoch e's history row, its progress call and its
+    best-state check come after epoch e+1 has trained, in epoch order;
+    the last epoch's come after the loop. The model ends restored to its
+    best-validation state; test CIR is computed on that state, in process.
     """
     samples, labels, split = split_dataset(dataset, cfg.seed, cfg.split)
 
@@ -217,31 +321,44 @@ def train_loop(
     best_epoch = 0
     best_state = None
     history = []
-    for epoch in range(1, cfg.epochs + 1):
-        order = list(split.train)
-        Rng(cfg.seed + epoch).shuffle(order)
-        loss_sum = 0.0
-        for s in range(0, len(order), cfg.batch):
-            chunk = order[s : s + cfg.batch]
-            fp, fv, y = batch_tensors(samples, chunk)
-            logits = model.forward_batch(fp, fv, mode)
-            loss, _ = softmax_xent(logits, y)
-            loss_sum += loss.item() * len(chunk)
-            if learning:
-                for _, p in params:
-                    p.grad = None
-                loss.backward()
-                _check_finite(loss.item(), params)
-                adam_step(params, opt)
-        train_loss = loss_sum / len(order)
-        val_cir = cir(predict(model, samples, split.val, cfg.batch), labels[split.val])
+
+    def finish(epoch, train_loss, state, preds) -> None:
+        nonlocal best_val, best_epoch, best_state
+        val_cir = cir(preds, labels[split.val])
         history.append((epoch, train_loss, val_cir))
         if progress is not None:
             progress(epoch, train_loss, val_cir)
         if val_cir > best_val:
             best_val = val_cir
             best_epoch = epoch
-            best_state = [arr.copy() for _, arr, _ in model.state_entries()]
+            best_state = state
+
+    with _val_pass(model, samples, split.val, cfg.batch) as (submit, collect):
+        pending = None
+        for epoch in range(1, cfg.epochs + 1):
+            order = list(split.train)
+            Rng(cfg.seed + epoch).shuffle(order)
+            loss_sum = 0.0
+            for s in range(0, len(order), cfg.batch):
+                chunk = order[s : s + cfg.batch]
+                fp, fv, y = batch_tensors(samples, chunk)
+                logits = model.forward_batch(fp, fv, mode)
+                loss, _ = softmax_xent(logits, y)
+                loss_sum += loss.item() * len(chunk)
+                if learning:
+                    for _, p in params:
+                        p.grad = None
+                    loss.backward()
+                    _check_finite(loss.item(), params)
+                    adam_step(params, opt)
+            state = [arr.copy() for _, arr, _ in model.state_entries()]
+            preds = collect() if pending is not None else None
+            submit(state)
+            if pending is not None:
+                finish(*pending, preds)
+            pending = (epoch, loss_sum / len(order), state)
+        if pending is not None:
+            finish(*pending, collect())
 
     if best_state is not None:
         for (_, arr, _), saved in zip(model.state_entries(), best_state):

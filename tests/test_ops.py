@@ -272,6 +272,29 @@ class TestConvBackward:
         assert np.all(p.weight.grad[:, :, live] != 0)
 
 
+    @pytest.mark.parametrize("c", [1, 3], ids=["per_sample", "taps"])
+    @pytest.mark.parametrize("k,stride,pad,live", [(3, 2, 2, [0, 2]), (2, 3, 2, [])],
+                             ids=["dead_tap_inside_hull", "no_live_tap"])
+    def test_dead_taps_get_positive_zero_in_every_form(self, c, k, stride, pad, live):
+        # on a 1x1 map a stride longer than the map can skip a kernel offset:
+        # outputs 0 and 1 read the pixel at offsets 2 and 0, and nothing reads
+        # offset 1, which lies inside the hull of the live ones
+        rng = Rng(209)
+        x = rand_t(rng, (2, c, 1, 1), grad=True)
+        p = conv_params(rng, c, 4, k, stride, pad, dtype=np.float32)
+        y = ops.conv2d(x, p)
+        g = -np.abs(rand_t(rng, y.dims).data)
+        y.backward(g)
+        assert [t for t, _, _ in ops._tap_windows(k, stride, pad, 1, y.dims[2])] == live
+        mask = np.zeros((k, k), dtype=bool)
+        mask[np.ix_(live, live)] = True
+        dead = p.weight.grad[:, :, ~mask]
+        assert dead.size and np.all(dead == 0) and not np.signbit(dead).any()
+        _, dw, _ = oracles.conv2d_backward_loops(
+            x.data.astype(np.float64), p.weight.data.astype(np.float64),
+            g.astype(np.float64), stride, pad)
+        assert np.max(np.abs(p.weight.grad - dw)) <= 1e-5 * max(1.0, float(np.max(np.abs(dw))))
+
     def test_input_without_grad_gets_no_dx(self):
         # c > 1 with no dx wanted: the tap loop still gives dw
         rng = Rng(207)

@@ -1,4 +1,10 @@
 import hashlib
+import multiprocessing
+import os
+import signal
+import threading
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +13,7 @@ import pytest
 from csafm import (
     AdamState,
     ConfigError,
+    CsafmError,
     DataError,
     DimensionError,
     FpvCsafmModel,
@@ -17,6 +24,7 @@ from csafm import (
     RunConfig,
     SynthSpec,
     Tensor,
+    UnimodalClassifier,
     adam_step,
     batch_tensors,
     cir,
@@ -26,6 +34,7 @@ from csafm import (
     predict,
     train_loop,
 )
+import csafm.train
 from csafm.backbone import feature_shape
 from csafm.cli import train_and_write
 
@@ -291,6 +300,148 @@ class TestTrainLoop:
         fp, fv, _ = batch_tensors(samples, idxs)
         want = model.forward_batch(fp, fv, "eval").data.reshape(4, -1).argmax(axis=1)
         assert np.array_equal(got, want)
+
+
+def state_sha(model) -> str:
+    h = hashlib.sha256()
+    for name, arr, _ in model.state_entries():
+        h.update(name.encode() + b"\0" + arr.tobytes())
+    return h.hexdigest()
+
+
+def on_path(monkeypatch, path):
+    """Make train_loop validate in a worker or in process, through the CPU
+    count its rule reads."""
+    monkeypatch.setattr(csafm.train, "_usable_cpus", lambda: 2 if path == "worker" else 1)
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail, not hang, when the block runs past `seconds`."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+PATHS = ["worker", "in_process"]
+
+
+class TestValidationBesideTraining:
+    """Epoch e's val pass runs in a forked worker while epoch e+1 trains,
+    or in process where only one CPU is usable; the bits are the same."""
+
+    @pytest.mark.parametrize("kind", ["CSAFM", "fv", "lr0"])
+    def test_both_paths_give_the_same_bits(self, tiny_dataset, monkeypatch, kind):
+        cfg = tiny_cfg(epochs=4, lr=0.0 if kind == "lr0" else 3e-3)
+        got = {}
+        for path in PATHS:
+            on_path(monkeypatch, path)
+            if kind == "fv":
+                model = UnimodalClassifier.build(classes=4, image_size=(20, 20), modality="fv",
+                                                 rng=Rng(34), width_multiplier=0.125)
+            else:
+                model = tiny_model(cfg, seed=34, variant=FusionVariant.CSAFM)
+            workers = []
+            res = train_loop(model, tiny_dataset, cfg, progress=lambda *_: workers.append(
+                [p.name for p in multiprocessing.active_children()]))
+            assert workers == ([["csafm-val"]] * 4 if path == "worker" else [[]] * 4)
+            assert multiprocessing.active_children() == []
+            got[path] = (res.history, state_sha(model), res.best_epoch, res.best_val_cir,
+                         res.test_cir)
+        assert got["worker"] == got["in_process"]
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_progress_sees_epochs_in_order(self, tiny_dataset, monkeypatch, path):
+        on_path(monkeypatch, path)
+        cfg = tiny_cfg(epochs=5)
+        seen = []
+        res = train_loop(tiny_model(cfg), tiny_dataset, cfg, progress=lambda *a: seen.append(a))
+        assert [e for e, _, _ in seen] == [1, 2, 3, 4, 5]
+        assert seen == res.history
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_validation_error_keeps_its_class(self, tiny_dataset, monkeypatch, path):
+        on_path(monkeypatch, path)
+
+        def failing_predict(*_):
+            raise DataError(f"val failed in process {os.getpid()}")
+
+        monkeypatch.setattr(csafm.train, "predict", failing_predict)
+        cfg = tiny_cfg(epochs=3)
+        with deadline(60), pytest.raises(DataError, match="val failed") as info:
+            train_loop(tiny_model(cfg), tiny_dataset, cfg)
+        raised_here = str(info.value).endswith(f" {os.getpid()}")
+        assert raised_here == (path == "in_process")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_training_error_ends_the_worker(self, tiny_dataset, monkeypatch, path):
+        on_path(monkeypatch, path)
+        cfg = tiny_cfg(epochs=3)
+        model = tiny_model(cfg)
+
+        def poison(epoch, *_):
+            model.head_w.data[...] = np.inf
+
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+            train_loop(model, tiny_dataset, cfg, progress=poison)
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_is_an_error_naming_its_exit_code(self, tiny_dataset, monkeypatch):
+        on_path(monkeypatch, "worker")
+        cfg = tiny_cfg(epochs=4)
+
+        def kill_worker(epoch, *_):
+            if epoch == 1:
+                for p in multiprocessing.active_children():
+                    os.kill(p.pid, signal.SIGKILL)
+
+        t0 = time.monotonic()
+        with deadline(60), pytest.raises(CsafmError, match="exited with code -9"):
+            train_loop(tiny_model(cfg), tiny_dataset, cfg, progress=kill_worker)
+        assert time.monotonic() - t0 < 20
+        assert multiprocessing.active_children() == []
+
+    def test_daemonic_process_validates_in_process(self, tiny_dataset, monkeypatch):
+        # a daemonic multiprocessing worker may start no child process
+        on_path(monkeypatch, "worker")
+        cfg = tiny_cfg(epochs=2)
+        want = train_loop(tiny_model(cfg), tiny_dataset, cfg).history
+        with deadline(120), multiprocessing.get_context("fork").Pool(1) as pool:
+            got = pool.apply(_train_history, (tiny_dataset, cfg))
+        assert got == want
+
+    def test_threaded_process_validates_in_process(self, tiny_dataset, monkeypatch):
+        # a fork copies only the calling thread
+        on_path(monkeypatch, "worker")
+        cfg = tiny_cfg(epochs=2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            workers = []
+            train_loop(tiny_model(cfg), tiny_dataset, cfg,
+                       progress=lambda *_: workers.append(multiprocessing.active_children()))
+        finally:
+            release.set()
+            other.join()
+        assert workers == [[], []]
+
+    def test_cpu_rule_reads_the_affinity_mask(self):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no sched_getaffinity on this platform")
+        assert csafm.train._usable_cpus() == len(os.sched_getaffinity(0))
+
+
+def _train_history(dataset, cfg):
+    return train_loop(tiny_model(cfg), dataset, cfg).history
 
 
 class TestHistoryCsv:
