@@ -25,26 +25,11 @@ from .errors import ConfigError, CsafmError, DimensionError
 from .fusion import FusionVariant
 from .model import FpvCsafmModel, UnimodalClassifier, load, save
 from .tensor import Rng, derive_seed
-from .train import cir, history_csv, predict, split_dataset, train_loop
+from .train import cir, history_csv, predict, split_dataset, train_loop, usable_cpus
 
 
 def _progress(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-def _worker_cap() -> int:
-    env = os.environ.get("CSAFM_THREADS", "")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ConfigError(f"CSAFM_THREADS must be an integer, got {env!r}") from None
-        if cap < 1:
-            raise ConfigError(f"CSAFM_THREADS must be >= 1, got {cap}")
-        return cap
-    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _build_model(cfg: RunConfig, dataset) -> object:
@@ -211,7 +196,7 @@ def cmd_ablate(args) -> int:
     out = _check_out_dir(cfg.out_dir)
     summaries = _train_in_workers(
         [replace(cfg, modality="fused", variant=FusionVariant[v],
-                 out_dir=str(out / "variants" / v)) for v in _ABLATION_ORDER], _worker_cap())
+                 out_dir=str(out / "variants" / v)) for v in _ABLATION_ORDER], usable_cpus())
     lines = ["variant,best_val_cir,test_cir"]
     lines += [f"{v},{s['best_val_cir']:.6f},{s['test_cir']:.6f}"
               for v, s in zip(_ABLATION_ORDER, summaries)]

@@ -120,6 +120,8 @@ def read_pgm(path) -> np.ndarray:
         raise PgmFormatError(f"{path}: not a binary PGM (magic {buf[:2]!r})")
     (w, h, maxval), i = _pgm_tokens(buf[2:], path, 3)
     i += 2
+    if w < 1 or h < 1:
+        raise PgmFormatError(f"{path}: width {w}, height {h}; both must be >= 1")
     if maxval != 255:
         raise PgmFormatError(f"{path}: maxval {maxval}, only 255 supported")
     if i >= len(buf) or not buf[i : i + 1].isspace():
@@ -144,9 +146,7 @@ def write_pgm(path, img: np.ndarray) -> None:
 
 
 def preprocess(img) -> Tensor:
-    """uint8 (h,w) -> float32 (1,1,h,w) scaled by 1/255; Tensors pass through."""
-    if isinstance(img, Tensor):
-        return img
+    """uint8 (h,w) -> float32 (1,1,h,w) scaled by 1/255."""
     arr = np.asarray(img)
     if arr.ndim != 2:
         raise DataError(f"expected a 2-d grayscale image, got shape {arr.shape}")

@@ -112,17 +112,16 @@ def make_split(
 
     Flat sample index = class * n_per_class + within-class index, so the
     caller must order samples class-major. Each fraction of n_per_class
-    must be integral.
+    must be a whole number of samples, at least one.
     """
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ParameterError(f"split fractions sum to {sum(fractions)}, need 1.0")
     counts = []
     for f in fractions:
         x = f * n_per_class
-        if abs(x - round(x)) > 1e-9:
-            raise ParameterError(
-                f"fraction {f} of {n_per_class} samples per class is not integral"
-            )
+        if abs(x - round(x)) > 1e-9 or round(x) == 0:
+            raise ParameterError(f"fraction {f} of {n_per_class} samples per class "
+                                 f"is {x:.10g} samples, not a whole number of at least 1")
         counts.append(round(x))
     rng = Rng(seed).spawn("split")
     tr, va, te = [], [], []
@@ -200,8 +199,10 @@ def split_dataset(dataset, seed: int, fractions) -> tuple[list, np.ndarray, Spli
     return samples, labels, split
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where the platform cannot say."""
+def usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask, which `taskset`
+    narrows); 1 where the platform cannot say. It sizes `csafm ablate`'s
+    pool and decides whether _val_pass forks its worker."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
@@ -244,7 +245,7 @@ def _val_pass(model, samples, idxs, batch: int):
     # and it raised recognize's peak RSS by 1 MiB
     import multiprocessing
 
-    if (_usable_cpus() < 2 or "fork" not in multiprocessing.get_all_start_methods()
+    if (usable_cpus() < 2 or "fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon or threading.active_count() > 1):
         done = []
         yield (lambda state: done.append(predict(model, samples, idxs, batch))), done.pop

@@ -13,7 +13,7 @@ from csafm import (
 )
 from csafm import cli
 from csafm.cli import (
-    _ABLATION_ORDER, _BLAS_VARS, _blas_pinned_pool, _worker_cap, build_parser, cmd_ablate, main,
+    _ABLATION_ORDER, _BLAS_VARS, _blas_pinned_pool, build_parser, cmd_ablate, main,
     train_and_write,
 )
 from csafm import verify
@@ -154,6 +154,27 @@ class TestTrain:
         rc, _, err = run_cli(capsys, "train", "--config", str(path))
         assert rc == 2
         assert "overflows" in err
+
+    def test_split_fraction_of_no_samples_exits_2(self, config_file, capfd):
+        """A fraction that rounds to no sample per class once trained on an
+        empty train split and died of a ZeroDivisionError traceback."""
+        path, _ = config_file(split=[1e-12, 0.5, 0.499999999999])
+        rc = main(["train", "--config", str(path)])
+        err = capfd.readouterr().err
+        assert rc == 2 and "Traceback" not in err
+        assert "fraction 1e-12 of 10 samples per class is 1e-11 samples" in err
+
+    def test_empty_pgm_exits_2_naming_the_file(self, tmp_path, config_file, pgm_tree, capfd):
+        """A PGM of width 0 once got through the reader, and ingestion then
+        failed on the empty array without naming the file."""
+        root = pgm_tree({0: 10, 1: 10, 2: 10, 3: 10})
+        bad = root / "class_002" / "fv" / "004.pgm"
+        bad.write_bytes(b"P5\n0 5\n255\n")
+        path, _ = config_file(dataset=str(root))
+        rc = main(["train", "--config", str(path)])
+        err = capfd.readouterr().err
+        assert rc == 2 and "Traceback" not in err
+        assert f"{bad}: width 0, height 5" in err
 
 
 class TestEval:
@@ -314,10 +335,10 @@ class TestAblate:
         """One worker and four write the same table, and `csafm train` on the
         config makes the ablation's CSAFM run."""
         path, _ = config_file(epochs=1)
-        for threads in ("1", "4"):
-            monkeypatch.setenv("CSAFM_THREADS", threads)
+        for cpus in (1, 4):
+            monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
             rc, _, _ = run_cli(capsys, "ablate", "--config", str(path),
-                               "--out", str(tmp_path / f"w{threads}"))
+                               "--out", str(tmp_path / f"w{cpus}"))
             assert rc == 0
         table = (tmp_path / "w1" / "ablation.csv").read_bytes()
         assert table == (tmp_path / "w4" / "ablation.csv").read_bytes()
@@ -342,7 +363,7 @@ class TestAblate:
 
     def test_environment_restored(self, tmp_path, config_file, pgm_tree, capsys,
                                   monkeypatch):
-        monkeypatch.setenv("CSAFM_THREADS", "2")
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
         for var in _BLAS_VARS:
             monkeypatch.delenv(var, raising=False)
         before = dict(os.environ)
@@ -361,7 +382,7 @@ class TestAblate:
                                           monkeypatch):
         """A worker's DataError reaches the caller as a DataError, not as a
         config error."""
-        monkeypatch.setenv("CSAFM_THREADS", "2")
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
         path, _ = config_file(dataset=str(pgm_tree({0: 10, 1: 20, 2: 20, 3: 20})))
         args = build_parser().parse_args(
             ["ablate", "--config", str(path), "--out", str(tmp_path / "bad")])
@@ -369,20 +390,24 @@ class TestAblate:
             cmd_ablate(args)
         assert "per-class counts differ" in str(info.value)
 
-    def test_worker_cap_counts_usable_cpus(self, monkeypatch):
-        monkeypatch.delenv("CSAFM_THREADS", raising=False)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert _worker_cap() == 1
+    def test_pool_has_a_worker_per_usable_cpu(self, tmp_path, config_file, monkeypatch):
+        """ablate sizes its pool by the one CPU count that also decides
+        where validation runs, and opens no more workers than variants."""
+        class Opened(Exception):
+            pass
 
-    def test_thread_cap_validation(self, tmp_path, config_file, capsys,
-                                   monkeypatch):
+        def spy(workers):
+            raise Opened(workers)
+
+        monkeypatch.setattr(cli, "_blas_pinned_pool", spy)
         path, _ = config_file(epochs=1)
-        for bad in ("zero", "0"):
-            monkeypatch.setenv("CSAFM_THREADS", bad)
-            rc, _, err = run_cli(capsys, "ablate", "--config", str(path),
-                                 "--out", str(tmp_path / "x"))
-            assert rc == 2
-            assert "CSAFM_THREADS" in err
+        args = build_parser().parse_args(
+            ["ablate", "--config", str(path), "--out", str(tmp_path / "ab")])
+        for cpus in (1, 2, 4, 8):
+            monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+            with pytest.raises(Opened) as info:
+                cmd_ablate(args)
+            assert info.value.args == (min(cpus, len(_ABLATION_ORDER)),)
 
 
 class TestVerify:

@@ -11,7 +11,6 @@ from csafm import (
     PgmFormatError,
     Rng,
     SynthSpec,
-    Tensor,
     ingest_dir,
     preprocess,
     read_pgm,
@@ -66,6 +65,13 @@ class TestPgm:
         with pytest.raises(PgmFormatError, match="unexpected byte"):
             read_pgm(p)
 
+    @pytest.mark.parametrize("header", [b"P5\n0 5\n255\n", b"P5\n5 0\n255\n"])
+    def test_zero_width_or_height(self, tmp_path, header):
+        p = tmp_path / "empty.pgm"
+        p.write_bytes(header)
+        with pytest.raises(PgmFormatError, match=r"empty\.pgm: width \d, height \d"):
+            read_pgm(p)
+
     def test_write_rejects_non_u8(self, tmp_path):
         with pytest.raises(DataError):
             write_pgm(tmp_path / "f.pgm", np.zeros((2, 2), dtype=np.float32))
@@ -82,10 +88,6 @@ class TestPreprocess:
         assert t.data[0, 0, 0, 0] == 0.0
         assert t.data[0, 0, 0, 1] == 1.0
         assert abs(t.data[0, 0, 1, 1] - 51 / 255) < 1e-7
-
-    def test_tensor_passes_through(self):
-        t = Tensor.zeros((1, 1, 3, 3))
-        assert preprocess(t) is t
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(DataError):

@@ -162,6 +162,12 @@ class TestMakeSplit:
         with pytest.raises(ParameterError):
             make_split(7, 2, seed=0)
 
+    def test_fraction_of_no_samples_rejected(self):
+        """1e-12 of 10 samples is integral to within rounding, and once gave
+        an empty train split."""
+        with pytest.raises(ParameterError, match="fraction 1e-12 of 10 samples per class"):
+            make_split(10, 2, seed=0, fractions=(1e-12, 0.5, 0.499999999999))
+
     def test_fractions_must_sum_to_one(self):
         with pytest.raises(ParameterError):
             make_split(10, 2, seed=0, fractions=(0.5, 0.4, 0.3))
@@ -312,7 +318,7 @@ def state_sha(model) -> str:
 def on_path(monkeypatch, path):
     """Make train_loop validate in a worker or in process, through the CPU
     count its rule reads."""
-    monkeypatch.setattr(csafm.train, "_usable_cpus", lambda: 2 if path == "worker" else 1)
+    monkeypatch.setattr(csafm.train, "usable_cpus", lambda: 2 if path == "worker" else 1)
 
 
 @contextmanager
@@ -437,7 +443,7 @@ class TestValidationBesideTraining:
     def test_cpu_rule_reads_the_affinity_mask(self):
         if not hasattr(os, "sched_getaffinity"):
             pytest.skip("no sched_getaffinity on this platform")
-        assert csafm.train._usable_cpus() == len(os.sched_getaffinity(0))
+        assert csafm.train.usable_cpus() == len(os.sched_getaffinity(0))
 
 
 def _train_history(dataset, cfg):
