@@ -208,6 +208,10 @@ def cmd_ablate(args) -> int:
 def cmd_synth(args) -> int:
     spec = SynthSpec.from_dict(load_json(args.spec)) if args.spec else SynthSpec()
     out = _out_dir(args.out)
+    # class directories left by an earlier set would be read as more classes
+    if any(out.iterdir()):
+        raise ConfigError(f"output directory {args.out} is not empty; synth writes only into "
+                          "a new or empty directory")
     rng = Rng(derive_seed(args.seed, "synthdata"))
     n = synth_write(spec, rng, out)
     _progress(f"wrote {n} PGM files across {spec.classes} classes under {out}")

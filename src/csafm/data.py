@@ -127,11 +127,13 @@ def read_pgm(path) -> np.ndarray:
     if i >= len(buf) or not buf[i : i + 1].isspace():
         raise PgmFormatError(f"{path}: missing whitespace before pixel data")
     i += 1
-    data = buf[i : i + w * h]
-    if len(data) != w * h:
+    data = buf[i:]
+    if len(data) < w * h:
         raise PgmFormatError(
             f"{path}: expected {w * h} pixel bytes, found {len(data)}"
         )
+    if len(data) > w * h:
+        raise PgmFormatError(f"{path}: {len(data) - w * h} bytes after the {w * h} pixel bytes")
     return np.frombuffer(data, dtype=np.uint8).reshape(h, w)
 
 

@@ -17,11 +17,13 @@ import numpy as np
 
 from .tensor import Rng, Tensor
 
+# central-difference step added to and taken from each probed element
+STEP = 1e-5
+
 
 def numeric_grad(
     f: Callable[[], Tensor],
     wrt: Tensor,
-    h: float = 1e-5,
     sample: Optional[int] = None,
     rng: Optional[Rng] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -49,12 +51,12 @@ def numeric_grad(
     grads = np.empty(idx.size, dtype=np.float64)
     for out_i, i in enumerate(idx):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + STEP
         fp = f().item()
-        flat[i] = orig - h
+        flat[i] = orig - STEP
         fm = f().item()
         flat[i] = orig
-        grads[out_i] = (fp - fm) / (2.0 * h)
+        grads[out_i] = (fp - fm) / (2.0 * STEP)
     return idx, grads
 
 
@@ -67,7 +69,6 @@ def rel_error(a: np.ndarray, n: np.ndarray) -> float:
 def check_gradients(
     f: Callable[[], Tensor],
     params: Sequence[tuple[str, Tensor]],
-    h: float = 1e-5,
     sample: Optional[int] = None,
     seed: int = 0,
 ) -> dict[str, float]:
@@ -91,7 +92,7 @@ def check_gradients(
     errs: dict[str, float] = {}
     rng = Rng(seed)
     for name, t in params:
-        idx, num = numeric_grad(f, t, h=h, sample=sample, rng=rng)
+        idx, num = numeric_grad(f, t, sample=sample, rng=rng)
         ana = analytic[name].reshape(-1)[idx]
         errs[name] = rel_error(ana, num)
     return errs

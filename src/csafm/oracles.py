@@ -223,19 +223,6 @@ def gap_loops(x):
     return out
 
 
-def pwconv_matvec(x, w, b):
-    """1x1 conv as a per-pixel matrix-vector product."""
-    n, c, h, wd = x.shape
-    co = w.shape[0]
-    m = w.reshape(co, c)
-    out = np.empty((n, co, h, wd), dtype=np.float64)
-    for ni in range(n):
-        for yi in range(h):
-            for xi in range(wd):
-                out[ni, :, yi, xi] = m @ x[ni, :, yi, xi] + b
-    return out
-
-
 def crop_center(x, h, w):
     """Center crop by slicing, offsets floor((H-h)/2)."""
     top = (x.shape[2] - h) // 2

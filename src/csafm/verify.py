@@ -5,9 +5,11 @@ through _require rather than assert, so `python -O` checks the same
 criteria; run_all prints one PASS/FAIL line per check and reports overall
 success.
 CHECKS is the one list of release criteria: `csafm verify` runs it, and
-so does the test suite, one test per entry. The oracles (csafm.oracles
-and the closed forms here) are deliberately naive and independent of the
-production kernels they certify.
+so does the test suite, one test per entry. A criterion lives here only,
+and tests/ holds what no entry checks: a new case of a criterion goes
+into its entry, where the shipped command runs it too. The oracles
+(csafm.oracles and the closed forms here) are deliberately naive and
+independent of the production kernels they certify.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ def check_conv_forward_oracle() -> None:
     for t in range(100):
         geo = rng.spawn("conv", t)
         n, ic, oc = 1 + int(geo.below(2)), 1 + int(geo.below(4)), 1 + int(geo.below(4))
-        k = (1, 3, 5)[int(geo.below(3))]
+        k = (1, 2, 3, 5)[int(geo.below(4))]
         stride, pad = 1 + int(geo.below(2)), int(geo.below(3))
         h, w = k + int(geo.below(8)), k + int(geo.below(8))
         x = _rand(geo.spawn("x"), (n, ic, h, w))
@@ -73,6 +75,7 @@ def check_conv_forward_oracle() -> None:
         b = _rand(geo.spawn("b"), (1, oc, 1, 1))
         got = ops.conv2d(x, ops.ConvParams(wt, b, stride, pad)).data
         want = oracles.conv2d_loops(x.data, wt.data, b.data.reshape(-1), stride, pad)
+        _require(got.shape == want.shape, f"conv gives {got.shape}, loop oracle {want.shape}")
         err = float(np.abs(got.astype(np.float64) - want).max())
         _require(err <= 1e-5, f"conv deviates from loop oracle by {err}")
 
@@ -104,15 +107,16 @@ def _sq_mean(t: Tensor) -> Tensor:
 
 def check_conv_gradcheck() -> None:
     rng = Rng(303)
-    x = _rand(rng.spawn("x"), (2, 2, 6, 7), dtype=np.float64, requires_grad=True)
-    w = _rand(rng.spawn("w"), (3, 2, 3, 3), dtype=np.float64, requires_grad=True)
-    b = _rand(rng.spawn("b"), (1, 3, 1, 1), dtype=np.float64, requires_grad=True)
-    p = ops.ConvParams(w, b, stride=2, pad=1)
-
-    def loss():
-        return _sq_mean(ops.conv2d(x, p))
-
-    _gradcheck_layer(loss, [("x", x), ("w", w), ("b", b)], 1e-6)
+    # (input dims, out channels, k, stride, pad)
+    for (n, c, h, w), oc, k, stride, pad in (((2, 2, 6, 7), 3, 3, 2, 1),
+                                             ((2, 3, 6, 7), 4, 3, 1, 1),
+                                             ((1, 2, 9, 8), 3, 5, 2, 2)):
+        geo = rng.spawn(k, stride, pad)
+        x = _rand(geo.spawn("x"), (n, c, h, w), dtype=np.float64, requires_grad=True)
+        wt = _rand(geo.spawn("w"), (oc, c, k, k), dtype=np.float64, requires_grad=True)
+        b = _rand(geo.spawn("b"), (1, oc, 1, 1), dtype=np.float64, requires_grad=True)
+        p = ops.ConvParams(wt, b, stride, pad)
+        _gradcheck_layer(lambda: _sq_mean(ops.conv2d(x, p)), [("x", x), ("w", wt), ("b", b)], 1e-6)
 
 
 def check_pwconv_gradcheck() -> None:
@@ -198,6 +202,7 @@ def check_gap_oracle() -> None:
     x = _rand(rng.spawn("x"), (2, 3, 5, 4))
     got = ops.gap(x).data
     want = oracles.gap_loops(x.data.astype(np.float64))
+    _require(got.shape == want.shape, f"gap gives {got.shape}, loop mean {want.shape}")
     err = float(np.abs(got.astype(np.float64) - want).max())
     _require(err <= 1e-6, f"gap deviates from loop mean by {err}")
     x64 = Tensor(x.data.astype(np.float64), requires_grad=True)
@@ -307,21 +312,22 @@ def check_fusion_gradcheck() -> None:
     a = _rand(rng.spawn("fa"), (2, 8, 4, 4), dtype=np.float64, requires_grad=True)
     b = _rand(rng.spawn("fb2"), (2, 8, 4, 4), dtype=np.float64, requires_grad=True)
 
-    def loss():
-        return _sq_mean(csafm_fuse(a, b, ca, sa, "eval"))
-
-    probe = [("a", a), ("b", b),
-             ("ca.pw1.weight", ca.pw1.weight), ("ca.pw2.weight", ca.pw2.weight),
-             ("sa.conv1.weight", sa.conv1.weight), ("sa.conv2.weight", sa.conv2.weight)]
-    errs = check_gradients(loss, probe, sample=6)
-    worst = max(errs.values())
-    _require(worst < 1e-5, f"fusion block gradcheck rel err {worst:.3g}")
+    for mode in ("eval", "train"):
+        # in train mode the spatial conv biases sit before batchnorm, so
+        # their true gradient is zero and they are not probed
+        probe = [("a", a), ("b", b)] + ca.parameters() + [
+            (n, t) for n, t in sa.parameters() if mode == "eval" or not n.endswith(".bias")]
+        errs = check_gradients(lambda: _sq_mean(csafm_fuse(a, b, ca, sa, mode)), probe, sample=6)
+        worst = max(errs.values())
+        _require(worst < 1e-5, f"fusion block gradcheck rel err {worst:.3g} ({mode})")
 
 
 def check_shape_pipeline() -> None:
     c, h, w = feature_shape(200, 400)
     _require((c, h, w) == (512, 4, 7), f"200x400 backbone shape {(c, h, w)} != (512,4,7)")
-    for h, w in ((200, 400), (64, 64), (97, 123), (33, 250)):
+    rng = Rng(321)
+    random_sizes = [(33 + int(rng.below(467)), 33 + int(rng.below(467))) for _ in range(100)]
+    for h, w in [(200, 400), (64, 64), (97, 123), (33, 250)] + random_sizes:
         want = oracles.backbone_shape(h, w, scaled_channels(1.0), KERNELS, CONV_STRIDES, CONV_PADS)
         got = feature_shape(h, w)
         _require(got == want, f"{h}x{w} backbone shape {got} != shape oracle {want}")
@@ -353,13 +359,11 @@ def check_e2e_gradcheck() -> None:
         ("head.weight", m.head_w),
     ]
 
-    def loss():
-        logits = m.forward_batch(fp, fv, "eval")
-        return ops.softmax_xent(logits, labels)[0]
-
-    errs = check_gradients(loss, probe, sample=6)
-    worst = max(errs.values())
-    _require(worst < 1e-5, f"end-to-end gradcheck rel err {worst:.3g}")
+    for mode in ("eval", "train"):
+        errs = check_gradients(lambda: ops.softmax_xent(m.forward_batch(fp, fv, mode), labels)[0],
+                               probe, sample=6)
+        worst = max(errs.values())
+        _require(worst < 1e-5, f"end-to-end gradcheck rel err {worst:.3g} ({mode})")
 
 
 def check_weight_roundtrip() -> None:
@@ -371,6 +375,7 @@ def check_weight_roundtrip() -> None:
     )
     fp = _rand(rng.spawn("fp"), (2, 1, 33, 33))
     fv = _rand(rng.spawn("fv"), (2, 1, 33, 33))
+    m.forward_batch(fp, fv, "train")  # running stats away from their init values
     before = m.forward_batch(fp, fv, "eval").data.copy()
     with tempfile.TemporaryDirectory() as td:
         path = os.path.join(td, "w.csafm")
@@ -380,6 +385,7 @@ def check_weight_roundtrip() -> None:
             buf = f.read()
         for want, forged in ((WeightFileMagicError, b"XSAF" + buf[4:]),
                              (WeightFileTruncatedError, buf[:-64]),
+                             (WeightFileTruncatedError, buf[:2]),
                              (WeightFileVersionError, buf[:4] + (99).to_bytes(4, "little") + buf[8:])):
             bad = os.path.join(td, "bad.csafm")
             with open(bad, "wb") as f:
@@ -391,20 +397,27 @@ def check_weight_roundtrip() -> None:
                          f"{want.__name__} expected, load raised {type(e).__name__}")
             else:
                 raise AssertionError(f"load accepted a file that should raise {want.__name__}")
-    for (n1, a1, _), (n2, a2, _) in zip(m.state_entries(), m2.state_entries()):
-        _require(n1 == n2 and a1.shape == a2.shape and (a1 == a2).all(), f"round trip altered {n1}")
+    saved = {n: (a, k) for n, a, k in m.state_entries()}
+    loaded = {n: (a, k) for n, a, k in m2.state_entries()}
+    _require(saved.keys() == loaded.keys(), "round trip altered the entry names")
+    for n, (a1, k1) in saved.items():
+        a2, k2 = loaded[n]
+        _require(k1 == k2 and a1.shape == a2.shape and (a1 == a2).all(), f"round trip altered {n}")
     after = m2.forward_batch(fp, fv, "eval").data
     _require((before == after).all(), "round trip altered eval logits")
 
 
 def check_adam_first_step() -> None:
-    st = AdamState(lr=0.01)
-    p = Tensor(np.ones((1, 1, 1, 1), dtype=np.float32), requires_grad=True)
-    p.grad = np.ones((1, 1, 1, 1), dtype=np.float32)
-    adam_step([("p", p)], st)
-    delta = float(p.data.reshape(())) - 1.0
-    want = -0.01 / (1.0 + 1e-8)
-    _require(abs(delta - want) <= 0.01 * 1e-5, f"first Adam step {delta} != {want}")
+    # on step one m-hat / (sqrt(v-hat) + eps) = g / (g + eps) for g > 0: about 1 at any scale
+    for dtype in (np.float32, np.float64):
+        for g in (1.0, 0.37):
+            p = Tensor(np.ones((1, 1, 1, 1), dtype=dtype), requires_grad=True)
+            p.grad = np.full((1, 1, 1, 1), g, dtype=dtype)
+            adam_step([("p", p)], AdamState(lr=0.01))
+            delta = float(p.data.reshape(())) - 1.0
+            want = -0.01 / (1.0 + 1e-8)
+            _require(abs(delta - want) <= 0.01 * 1e-5,
+                     f"first Adam step {delta} != {want} ({np.dtype(dtype).name}, gradient {g})")
     st2 = AdamState(lr=0.01)
     q = Tensor(np.full((1, 1, 1, 1), 3.0, dtype=np.float32), requires_grad=True)
     q.grad = np.zeros((1, 1, 1, 1), dtype=np.float32)
@@ -415,6 +428,7 @@ def check_adam_first_step() -> None:
 def check_cir_definition() -> None:
     _require(cir(np.array([0, 1, 2, 2]), np.array([0, 1, 2, 3])) == 75.0)
     _require(cir(np.array([4, 0, 1]), np.array([4, 0, 1])) == 100.0)
+    _require(cir(np.array([1]), np.array([0])) == 0.0)
     r = np.random.default_rng(5005)
     preds, labels = r.integers(0, 6, 60), r.integers(0, 6, 60)
     base = cir(preds, labels)

@@ -99,3 +99,6 @@ def test_training_reproducibility(tmp_path, config_file):
         assert main(["train", "--config", str(path), "--out", str(d)]) == 0
     assert (d1 / "history.csv").read_bytes() == (d2 / "history.csv").read_bytes()
     assert (d1 / "weights.csafm").read_bytes() == (d2 / "weights.csafm").read_bytes()
+    s1, s2 = (json.loads((d / "summary.json").read_text()) for d in (d1, d2))
+    s1.pop("wall_seconds"), s2.pop("wall_seconds")
+    assert s1 == s2

@@ -53,6 +53,13 @@ class TestPgm:
         with pytest.raises(PgmFormatError, match="pixel bytes"):
             read_pgm(p)
 
+    def test_bytes_after_the_pixels(self, tmp_path):
+        # they once went unread, so a size that does not match the data read quietly
+        p = tmp_path / "long.pgm"
+        p.write_bytes(b"P5\n4 4\n255\n" + bytes(20))
+        with pytest.raises(PgmFormatError, match=r"long\.pgm: 4 bytes after the 16 pixel bytes"):
+            read_pgm(p)
+
     def test_truncated_header(self, tmp_path):
         p = tmp_path / "bad.pgm"
         p.write_bytes(b"P5\n4")

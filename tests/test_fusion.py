@@ -13,10 +13,8 @@ from csafm import (
     ablation_fuse,
     center_crop,
     channel_attention_map,
-    check_gradients,
     concat_channels,
     csafm_fuse,
-    ewise_mul,
     ifi,
     spatial_attention_map,
     standardize,
@@ -152,16 +150,6 @@ class TestAttentionMaps:
 
 
 class TestCsafmFuse:
-    def test_quarter_sum_identity_with_zeroed_attention(self):
-        """Zero parameters collapse both gates to 1/2, so Z = (a+b)/4."""
-        ca, sa = zeroed_states(8, 4)
-        for mode in ("train", "eval"):
-            a = rand_map(30, (2, 8, 4, 4))
-            b = rand_map(31, (2, 8, 4, 4))
-            z = csafm_fuse(a, b, ca, sa, mode).data
-            want = np.float32(0.25) * (a.data + b.data)
-            assert np.array_equal(z, want), mode
-
     def test_parts_expose_intermediates(self):
         ca = ChannelAttnState.init(8, 4, Rng(41))
         sa = SpatialAttnState.init(8, 4, Rng(42))
@@ -187,23 +175,6 @@ class TestCsafmFuse:
         with pytest.raises(DimensionError):
             csafm_fuse(rand_map(49, (1, 8, 4, 4)), rand_map(50, (1, 8, 4, 5)),
                        ca, sa, "train")
-
-    def test_gradcheck_full_block(self):
-        """Both inputs and every attention parameter, f64, 1x8x4x4."""
-        ca = ChannelAttnState.init(8, 4, Rng(55), dtype=np.float64)
-        sa = SpatialAttnState.init(8, 4, Rng(56), dtype=np.float64)
-        a = rand_map(57, (2, 8, 4, 4), dtype=np.float64, grad=True)
-        b = rand_map(58, (2, 8, 4, 4), dtype=np.float64, grad=True)
-
-        def loss():
-            z = csafm_fuse(a, b, ca, sa, "train")
-            return ops.mean_all(ewise_mul(z, z))
-
-        probe = ([("f_fp", a), ("f_fv", b)] + ca.parameters()
-                 + [(n, t) for n, t in sa.parameters() if "bias" not in n])
-        errs = check_gradients(loss, probe, sample=8, seed=14)
-        for name, e in errs.items():
-            assert e < 1e-5, f"{name}: {e}"
 
 
 class TestAblationVariants:
